@@ -124,6 +124,10 @@ def _validate_model(obj):
                "expected a list of numbers")
         for i, v in enumerate(obj["theta"]):
             _num(v, f"config.model.theta[{i}]")
+        dim = lower_to_state_space(
+            build_model_family({"family": obj["family"]})).theta_dim
+        _check(len(obj["theta"]) == dim, "config.model.theta",
+               f"expected {dim} values for family {obj['family']!r}")
 
 
 def _validate_dataset(obj):
@@ -140,7 +144,7 @@ def _validate_dataset(obj):
                 _check(key in GENERATOR_FIELDS[gen], f"config.dataset.{key}",
                        f"not a field of generator {gen!r}")
         if "n" in obj:
-            _num(obj["n"], "config.dataset.n", int, min_value=0)
+            _num(obj["n"], "config.dataset.n", int, min_value=1)
         if "scenario" in obj:
             _check(obj["scenario"] in ("a", "b", "c"), "config.dataset.scenario",
                    "must be 'a', 'b' or 'c'")
@@ -164,8 +168,10 @@ def _validate_formulation(obj):
         if "boundaries" in obj:
             bnd = obj["boundaries"]
             _check(isinstance(bnd, list) and all(
-                isinstance(b, int) and not isinstance(b, bool) for b in bnd),
-                "config.formulation.boundaries", "expected a list of integers")
+                isinstance(b, int) and not isinstance(b, bool) and b >= 0
+                for b in bnd),
+                "config.formulation.boundaries",
+                "expected a list of non-negative integers")
             _check(len(set(bnd)) == len(bnd), "config.formulation.boundaries",
                    "duplicated boundary")
             _check(sorted(bnd) == list(bnd), "config.formulation.boundaries",
@@ -287,9 +293,10 @@ def build_formulation(obj: dict, n: int):
         return SingleShooting(optimize_x0=obj.get("optimize_x0", True))
     if kind == "multiple":
         if "boundaries" in obj:
-            bnd = obj["boundaries"]
-            lens = np.diff([0] + bnd + [n])
-            plan = ShootingPlan(tuple(int(b) for b in bnd), int(lens.max()))
+            bnd = sorted({0, n, *obj["boundaries"]})
+            _check(bnd[-1] == n, "config.formulation.boundaries",
+                   f"boundaries must not exceed the record length {n}")
+            plan = ShootingPlan(tuple(bnd), int(np.diff(bnd).max()))
         else:
             plan = ShootingPlan.from_max_len(n, obj["max_len"])
         return MultipleShooting(plan)
@@ -325,13 +332,11 @@ def write_json(path: str, payload: dict, deterministic: bool = True):
         fh.write("\n")
 
 
-def write_manifest(out_dir: str, cfg_text: str, cfg: dict, seed: int,
-                   jobs: int):
+def write_manifest(out_dir: str, cfg_text: str, cfg: dict, seed: int):
     manifest = {
         "config": cfg,
         "config_sha256": hashlib.sha256(cfg_text.encode()).hexdigest(),
         "seed": seed,
-        "jobs": jobs,
         "versions": {"msid": __version__,
                      "python": platform.python_version(),
                      "numpy": np.__version__},
@@ -360,13 +365,13 @@ def _result_payload(res) -> dict:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg, seed, out_dir, trace, jobs):
+def cmd_simulate(cfg, seed, out_dir, trace):
     ds = build_dataset(cfg["dataset"], seed)
     ds.to_csv(os.path.join(out_dir, "dataset.csv"))
     return EXIT_OK
 
 
-def cmd_estimate(cfg, seed, out_dir, trace, jobs):
+def cmd_estimate(cfg, seed, out_dir, trace):
     family = build_model_family(cfg["model"])
     model = lower_to_state_space(family)
     ds = build_dataset(cfg["dataset"], seed)
@@ -401,7 +406,7 @@ def cmd_estimate(cfg, seed, out_dir, trace, jobs):
     return EXIT_OK
 
 
-def cmd_smoothness(cfg, seed, out_dir, trace, jobs):
+def cmd_smoothness(cfg, seed, out_dir, trace):
     family = build_model_family(cfg["model"])
     model = lower_to_state_space(family)
     sm = cfg["smoothness"]
@@ -456,12 +461,11 @@ def cmd_smoothness(cfg, seed, out_dir, trace, jobs):
     return EXIT_OK
 
 
-def cmd_study(cfg, seed, out_dir, trace, jobs):
+def cmd_study(cfg, seed, out_dir, trace):
     study = cfg["study"]
     kind = study["kind"]
     profile = cfg.get("profile", "desk")
     opts = build_solver_options(cfg.get("solver"), False)
-    status = EXIT_OK
     if kind == "multi-start":
         family = build_model_family(cfg["model"])
         model = lower_to_state_space(family)
@@ -517,7 +521,7 @@ def cmd_study(cfg, seed, out_dir, trace, jobs):
             summaries={"theta": schedule[-1][1].point[: model.theta_dim].tolist()})
     write_json(os.path.join(out_dir, "result.json"),
                dataclasses.asdict(result))
-    return status
+    return EXIT_OK
 
 
 COMMAND_HANDLERS = {"simulate": cmd_simulate, "estimate": cmd_estimate,
@@ -558,8 +562,6 @@ def make_parser() -> argparse.ArgumentParser:
                            default=None, help="experiment scale")
             p.add_argument("--trace", action="store_true",
                            help="write per-iteration solver records")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="parallelism cap (1 = serial)")
     return parser
 
 
@@ -583,10 +585,12 @@ def main(argv=None) -> int:
     seed = int(cfg.get("seed", 0))
     out_dir = args.out or cfg.get("out", "msid-out")
     os.makedirs(out_dir, exist_ok=True)
-    write_manifest(out_dir, text, cfg, seed, args.jobs)
+    write_manifest(out_dir, text, cfg, seed)
     try:
-        return COMMAND_HANDLERS[cfg["command"]](cfg, seed, out_dir,
-                                                args.trace, args.jobs)
+        return COMMAND_HANDLERS[cfg["command"]](cfg, seed, out_dir, args.trace)
+    except ConfigError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except FileNotFoundError as exc:
         print(f"file not found: {exc}", file=sys.stderr)
         return EXIT_MISSING

@@ -289,31 +289,11 @@ class EstimationProblem:
     def gradient(self, phi) -> np.ndarray:
         return self._grad_from_eval(self._evaluate(phi, with_sens=True))
 
-    def cost_single(self, phi) -> float:
-        self._require(SingleShooting)
-        return self.cost(phi)
-
-    def grad_single(self, phi) -> np.ndarray:
-        self._require(SingleShooting)
-        return self.gradient(phi)
-
     def cost_multiple(self, phi):
         """Returns (V^M, per-interval costs V_i)."""
         self._require(MultipleShooting)
         ev = self._evaluate(phi)
         return ev.cost, ev.interval_costs.copy()
-
-    def grad_multiple(self, phi) -> np.ndarray:
-        self._require(MultipleShooting)
-        return self.gradient(phi)
-
-    def cost_msa(self, phi) -> float:
-        self._require(MsaPem)
-        return self.cost(phi)
-
-    def grad_msa(self, phi) -> np.ndarray:
-        self._require(MsaPem)
-        return self.gradient(phi)
 
     def gn_hessian_vec(self, phi, p) -> np.ndarray:
         """(2/N) sum_k J[k]^T (J[k] p): the curvature of V with the

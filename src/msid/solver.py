@@ -7,6 +7,11 @@ conjugate gradient on the QP
 
     min  g'p + 1/2 p'Hp   s.t.  J p = J v,  ||p|| <= Delta.
 
+The constraint Jacobian is factored once per iteration, by a thin SVD
+J = U S V'.  That one factorization gives the least-squares multipliers,
+the least-norm normal step, the exact null-space projection
+r - V(V'r) used by CG and the final drift correction.
+
 Steps are judged with the merit function phi = V + mu*||c||_2; the
 penalty mu only ever increases.  With zero constraints the method
 degrades to a plain trust-region Newton-CG.
@@ -99,20 +104,47 @@ class SolverResult:
         return self.status == "converged"
 
 
-def lagrange_multipliers(grad: np.ndarray, jac: np.ndarray) -> np.ndarray:
+@dataclass
+class JacobianSvd:
+    """Thin SVD J = U diag(s) V' of the constraint Jacobian.
+
+    Singular values at or below eps*max(m, n)*s_max (the default cutoff of
+    numpy's least-squares solver) are dropped, so a rank-deficient J gets
+    the same min-norm answers.
+    """
+
+    jac: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+
+    @classmethod
+    def of(cls, jac: np.ndarray) -> "JacobianSvd":
+        u, s, vt = np.linalg.svd(jac, full_matrices=False)
+        keep = s > np.finfo(float).eps * max(jac.shape) * (s[0] if s.size else 0.0)
+        return cls(jac, u[:, keep], s[keep], vt[keep])
+
+    def least_norm(self, b: np.ndarray) -> np.ndarray:
+        """Min-norm x minimizing ||J x - b||."""
+        return self.vt.T @ ((self.u.T @ b) / self.s)
+
+    def null_project(self, r: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of r onto the null space of J."""
+        return r - self.vt.T @ (self.vt @ r)
+
+
+def lagrange_multipliers(grad: np.ndarray, fac: JacobianSvd) -> np.ndarray:
     """Least-squares multipliers: argmin_lam ||grad + J' lam||."""
-    if jac.shape[0] == 0:
-        return np.zeros(0)
-    lam, *_ = np.linalg.lstsq(jac.T, -grad, rcond=None)
-    return lam
+    return -fac.u @ ((fac.vt @ grad) / fac.s)
 
 
-def vertical_step(jac: np.ndarray, c: np.ndarray, delta: float, eta: float = 0.8):
+def vertical_step(fac: JacobianSvd, c: np.ndarray, delta: float, eta: float = 0.8):
     """Dogleg step toward feasibility: min ||Jv + c|| s.t. ||v|| <= eta*delta.
 
     Blends the Cauchy point of the Gauss-Newton model with the least-norm
     solution of Jv = -c.  Returns (v, r) with r = Jv + c.
     """
+    jac = fac.jac
     m, n = jac.shape
     if m == 0 or not np.any(c):
         return np.zeros(n), c.copy()
@@ -128,7 +160,7 @@ def vertical_step(jac: np.ndarray, c: np.ndarray, delta: float, eta: float = 0.8
         return v, jac @ v + c
     t_star = float(g @ g) / jg2
     v_c = -t_star * g
-    v_n, *_ = np.linalg.lstsq(jac, -c, rcond=None)
+    v_n = fac.least_norm(-c)
     if np.linalg.norm(v_n) <= bound:
         v = v_n
     elif np.linalg.norm(v_c) >= bound:
@@ -143,14 +175,7 @@ def vertical_step(jac: np.ndarray, c: np.ndarray, delta: float, eta: float = 0.8
     return v, jac @ v + c
 
 
-def _null_project(jac: np.ndarray, gram_solve, r: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of r onto the null space of jac."""
-    if jac.shape[0] == 0:
-        return r
-    return r - jac.T @ gram_solve(jac @ r)
-
-
-def horizontal_step(grad: np.ndarray, hess_op: Callable, jac: np.ndarray,
+def horizontal_step(grad: np.ndarray, hess_op: Callable, fac: JacobianSvd,
                     v: np.ndarray, delta: float, max_cg: int,
                     tol: float = 1e-10):
     """Projected CG for the trust-region QP, started at the vertical step.
@@ -158,30 +183,14 @@ def horizontal_step(grad: np.ndarray, hess_op: Callable, jac: np.ndarray,
     Maintains J p = J v throughout; truncates at the boundary or on
     negative curvature.  Returns (p, Hp).
     """
-    m, n = jac.shape
-    if m:
-        gram = jac @ jac.T
-        gram_cho = None
-        try:
-            gram_cho = np.linalg.cholesky(gram + 1e-14 * np.eye(m))
-        except np.linalg.LinAlgError:
-            pass
-        if gram_cho is not None:
-            def gram_solve(b):
-                y = np.linalg.solve(gram_cho, b)
-                return np.linalg.solve(gram_cho.T, y)
-        else:
-            def gram_solve(b):
-                s, *_ = np.linalg.lstsq(gram, b, rcond=None)
-                return s
-    else:
-        gram_solve = None
-
+    n = v.size
     p = v.copy()
     hp = np.asarray(hess_op(p), float) if np.any(p) else np.zeros(n)
     r = grad + hp
-    z = _null_project(jac, gram_solve, r) if m else r.copy()
-    rz = float(r @ z)
+    z = fac.null_project(r)
+    # ||z||^2 equals r.z for an exact projector and cannot round to zero
+    # while z is nonzero
+    rz = float(z @ z)
     d = -z
     z0 = np.linalg.norm(z)
     for _ in range(max_cg):
@@ -203,18 +212,17 @@ def horizontal_step(grad: np.ndarray, hess_op: Callable, jac: np.ndarray,
         p = p + alpha * d
         hp = hp + alpha * hd
         r = r + alpha * hd
-        z = _null_project(jac, gram_solve, r) if m else r.copy()
-        rz_new = float(r @ z)
+        z = fac.null_project(r)
+        rz_new = float(z @ z)
         beta = rz_new / rz
         rz = rz_new
         d = -z + beta * d
-    if m:
-        # remove projection drift so that Jp = Jv holds to rounding
-        drift = jac @ p - jac @ v
-        if np.any(drift):
-            corr = jac.T @ gram_solve(drift)
-            p = p - corr
-            hp = hp - np.asarray(hess_op(corr), float) if np.any(corr) else hp
+    # remove projection drift so that Jp = Jv holds to rounding
+    drift = fac.jac @ p - fac.jac @ v
+    if np.any(drift):
+        corr = fac.least_norm(drift)
+        p = p - corr
+        hp = hp - np.asarray(hess_op(corr), float) if np.any(corr) else hp
     return p, hp
 
 
@@ -260,7 +268,8 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         state.iteration = it
         g = np.asarray(problem.grad(x), float)
         jac = problem.jacobian(x)
-        lam = lagrange_multipliers(g, jac)
+        fac = JacobianSvd.of(jac)
+        lam = lagrange_multipliers(g, fac)
         state.multipliers = lam
         grad_l = g + (jac.T @ lam if problem.m else 0.0)
         kkt = float(np.max(np.abs(grad_l))) if problem.n else 0.0
@@ -272,12 +281,12 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
             status = "step-too-small"
             break
 
-        v, r = vertical_step(jac, c, state.radius, opts.eta)
+        v, r = vertical_step(fac, c, state.radius, opts.eta)
 
         def hess_op(p, _x=x, _lam=lam):
             return problem.hess_vec(_x, _lam, p)
 
-        p, hp = horizontal_step(g, hess_op, jac, v, state.radius, max_cg)
+        p, hp = horizontal_step(g, hess_op, fac, v, state.radius, max_cg)
         qp = float(g @ p) + 0.5 * float(p @ hp)
         vpred = (np.linalg.norm(c) - np.linalg.norm(jac @ p + c)) if problem.m else 0.0
 
@@ -351,7 +360,7 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
     if status != "converged":
         jac = problem.jacobian(x)
         g = np.asarray(problem.grad(x), float)
-        lam = lagrange_multipliers(g, jac)
+        lam = lagrange_multipliers(g, JacobianSvd.of(jac))
         state.multipliers = lam
         grad_l = g + (jac.T @ lam if problem.m else 0.0)
         kkt = float(np.max(np.abs(grad_l))) if problem.n else 0.0

@@ -170,3 +170,50 @@ def test_estimate_nonconvergence_exits_4(tmp_path, capsys):
     assert "did not converge" in err
     result = json.loads((out / "result.json").read_text())
     assert result["status"] == "max-iter"
+
+
+# ---------------------------------------------------------------------------
+# Configs that validate must run to a documented exit code
+# ---------------------------------------------------------------------------
+
+def test_interior_boundaries_are_closed_by_record_ends(tmp_path):
+    # boundaries 2..58 mean the plan 0 | 2 | ... | 58 | 60, the max_len-2 plan
+    results = []
+    for name, form in (
+            ("interior", {"kind": "multiple", "boundaries": list(range(2, 60, 2))}),
+            ("full", {"kind": "multiple", "boundaries": list(range(0, 61, 2))}),
+            ("max_len", {"kind": "multiple", "max_len": 2})):
+        cfg = _estimate_cfg(n=60)
+        cfg["formulation"] = form
+        path = _write(tmp_path, cfg, f"{name}.json")
+        assert main(["validate", "--config", path]) == 0
+        out = tmp_path / name
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        results.append((out / "result.json").read_bytes())
+    assert results[0] == results[1] == results[2]
+
+
+def test_boundary_beyond_record_exits_3(tmp_path, capsys):
+    cfg = _estimate_cfg(n=60)
+    cfg["formulation"] = {"kind": "multiple", "boundaries": [0, 30, 90]}
+    path = _write(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "formulation.boundaries" in capsys.readouterr().err
+
+
+def test_empty_dataset_rejected(tmp_path, capsys):
+    cfg = _estimate_cfg()
+    cfg["dataset"]["n"] = 0
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 3
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "dataset.n" in capsys.readouterr().err
+
+
+def test_theta_length_must_match_model(tmp_path, capsys):
+    cfg = _estimate_cfg()
+    cfg["model"]["theta"] = [3.4, 1.0]
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 3
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "model.theta" in capsys.readouterr().err

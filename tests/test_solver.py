@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from msid import NlpProblem, SolverOptions, solve
-from msid.solver import (horizontal_step, lagrange_multipliers, merit,
-                         vertical_step)
+from msid.solver import (JacobianSvd, horizontal_step, lagrange_multipliers,
+                         merit, vertical_step)
 
 import oracles
 
@@ -65,7 +65,7 @@ def _circle_nlp(radius=2.0):
 def test_multipliers_solve_least_squares(rng):
     jac = rng.normal(size=(3, 6))
     grad = rng.normal(size=6)
-    lam = lagrange_multipliers(grad, jac)
+    lam = lagrange_multipliers(grad, JacobianSvd.of(jac))
     # normal equations of min ||grad + J' lam||
     np.testing.assert_allclose(jac @ (grad + jac.T @ lam), 0.0, atol=1e-10)
 
@@ -73,7 +73,7 @@ def test_multipliers_solve_least_squares(rng):
 def test_vertical_step_exact_when_radius_large(rng):
     jac = rng.normal(size=(2, 5))
     c = rng.normal(size=2)
-    v, _ = vertical_step(jac, c, delta=100.0)
+    v, _ = vertical_step(JacobianSvd.of(jac), c, delta=100.0)
     # residual of the Gauss-Newton system is zero for full-rank wide J
     np.testing.assert_allclose(jac @ v + c, 0.0, atol=1e-10)
 
@@ -82,7 +82,7 @@ def test_vertical_step_respects_radius_fraction(rng):
     jac = rng.normal(size=(2, 5))
     c = 100.0 * rng.normal(size=2)
     delta = 0.5
-    v, _ = vertical_step(jac, c, delta=delta, eta=0.8)
+    v, _ = vertical_step(JacobianSvd.of(jac), c, delta=delta, eta=0.8)
     assert np.linalg.norm(v) <= 0.8 * delta + 1e-12
     # and it still reduces the linearized infeasibility
     assert np.linalg.norm(jac @ v + c) < np.linalg.norm(c)
@@ -93,8 +93,9 @@ def test_horizontal_step_keeps_linearized_feasibility(rng):
     h_mat = h_mat @ h_mat.T + np.eye(6)
     grad = rng.normal(size=6)
     jac = rng.normal(size=(2, 6))
-    v, _ = vertical_step(jac, rng.normal(size=2), delta=1.0)
-    p, _ = horizontal_step(grad, lambda q: h_mat @ q, jac, v, 1.0, 50)
+    fac = JacobianSvd.of(jac)
+    v, _ = vertical_step(fac, rng.normal(size=2), delta=1.0)
+    p, _ = horizontal_step(grad, lambda q: h_mat @ q, fac, v, 1.0, 50)
     np.testing.assert_allclose(jac @ p, jac @ v, atol=1e-10)
     assert np.linalg.norm(p) <= 1.0 + 1e-9
 
@@ -104,7 +105,7 @@ def test_horizontal_step_unconstrained_matches_newton(rng):
     h_mat = h_mat @ h_mat.T + np.eye(4)
     grad = rng.normal(size=4)
     jac = np.zeros((0, 4))
-    p, _ = horizontal_step(grad, lambda q: h_mat @ q, jac,
+    p, _ = horizontal_step(grad, lambda q: h_mat @ q, JacobianSvd.of(jac),
                            np.zeros(4), 1e6, 100)
     np.testing.assert_allclose(p, -np.linalg.solve(h_mat, grad), rtol=1e-8)
 
@@ -116,10 +117,51 @@ def test_interior_qp_step_matches_kkt_solve(rng):
     grad = rng.normal(size=5)
     jac = rng.normal(size=(2, 5))
     c = rng.normal(size=2)
-    v, _ = vertical_step(jac, c, delta=1e8)
-    p, _ = horizontal_step(grad, lambda q: h_mat @ q, jac, v, 1e8, 200)
+    fac = JacobianSvd.of(jac)
+    v, _ = vertical_step(fac, c, delta=1e8)
+    p, _ = horizontal_step(grad, lambda q: h_mat @ q, fac, v, 1e8, 200)
     p_ref, _ = oracles.kkt_solve_quadratic(h_mat, -grad, jac, -c)
     np.testing.assert_allclose(p, p_ref, rtol=1e-7, atol=1e-9)
+
+
+def test_horizontal_step_exact_at_moderate_conditioning(rng):
+    # cond(J) = 1e2: an inexact null-space projector lets CG wander out of
+    # the tangent space, so it runs to max_cg and misses the reduced-QP step
+    m, n = 20, 26
+    qu, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    qv, _ = np.linalg.qr(rng.normal(size=(n, m)))
+    jac = qu @ np.diag(np.logspace(0, -2, m)) @ qv.T
+    h_mat = rng.normal(size=(n, n))
+    h_mat = h_mat @ h_mat.T + np.eye(n)
+    grad = rng.normal(size=n)
+    calls = []
+
+    def hess_op(q):
+        calls.append(1)
+        return h_mat @ q
+
+    p, _ = horizontal_step(grad, hess_op, JacobianSvd.of(jac), np.zeros(n),
+                           1e8, 200)
+    p_ref, _ = oracles.kkt_solve_quadratic(h_mat, -grad, jac, np.zeros(m))
+    assert len(calls) <= n - m + 1
+    np.testing.assert_allclose(p, p_ref, rtol=1e-8, atol=1e-10)
+
+
+def test_rank_deficient_jacobian_matches_lstsq(rng):
+    # a duplicated constraint row: multipliers and normal step must be
+    # lstsq's min-norm solutions
+    jac = rng.normal(size=(3, 6))
+    jac = np.vstack([jac, jac[1]])
+    grad = rng.normal(size=6)
+    c = rng.normal(size=4)
+    fac = JacobianSvd.of(jac)
+    assert fac.s.size == 3
+    lam_ref, *_ = np.linalg.lstsq(jac.T, -grad, rcond=None)
+    np.testing.assert_allclose(lagrange_multipliers(grad, fac), lam_ref,
+                               rtol=1e-12, atol=1e-12)
+    v_ref, *_ = np.linalg.lstsq(jac, -c, rcond=None)
+    v, _ = vertical_step(fac, c, delta=1e8)
+    np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_merit_function_definition():
