@@ -14,8 +14,8 @@ from .simulate import (BatchRollout, DivergenceError, SensitivityTrace,
 from .objective import (EstimationProblem, MsaPem, MultipleShooting,
                         ParameterPoint, ShootingPlan, SingleShooting,
                         as_nlp, cost_sequential, incremental_k_schedule)
-from .solver import (JacobianSvd, NlpProblem, SolverOptions, SolverResult,
-                     solve, lagrange_multipliers)
+from .solver import (JacobianSvd, NlpProblem, ShootingJacobian, ShootingKkt,
+                     SolverOptions, SolverResult, solve, lagrange_multipliers)
 from .smoothness import (PairEstimate, RegimeFit, SmoothnessReport,
                          estimate_beta, estimate_contraction,
                          estimate_lipschitz, interval_bound_check,

@@ -6,7 +6,8 @@ records, optional solver traces, and a manifest into the output
 directory.  ``msid validate`` checks a config without computing.
 
 Exit codes: 0 success, 2 missing file, 3 schema violation (message
-names the offending field path), 4 solver non-convergence.
+names the offending field path), 4 solver did not converge (status
+``max-iter``) or could not evaluate its start (status ``non-finite``).
 """
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ from .solver import SolverOptions, solve
 from . import experiments as xp
 
 EXIT_OK, EXIT_MISSING, EXIT_SCHEMA, EXIT_SOLVER = 0, 2, 3, 4
+# solver statuses that exit with EXIT_SOLVER
+FAILED_STATUSES = ("max-iter", "non-finite")
 
 
 class ConfigError(Exception):
@@ -282,7 +285,12 @@ def build_dataset(obj: dict, seed: int) -> Dataset:
         path = obj["csv"]
         if not os.path.exists(path):
             raise FileNotFoundError(path)
-        return Dataset.from_csv(path)
+        try:
+            ds = Dataset.from_csv(path)
+        except ValueError as exc:
+            raise ConfigError(f"config.dataset.csv: {exc}") from None
+        _check(ds.n >= 1, "config.dataset.csv", f"{path} holds no data rows")
+        return ds
     kwargs = {k: v for k, v in obj.items() if k != "generator"}
     return xp.GENERATORS[obj["generator"]](seed=seed, **kwargs)
 
@@ -385,8 +393,8 @@ def cmd_estimate(cfg, seed, out_dir, trace):
                                 for k, r in schedule],
                    "theta": schedule[-1][1].point[: model.theta_dim].tolist()}
         write_json(os.path.join(out_dir, "result.json"), payload)
-        return EXIT_OK if all(r.status != "max-iter" for _, r in schedule) \
-            else EXIT_SOLVER
+        return EXIT_OK if all(r.status not in FAILED_STATUSES
+                              for _, r in schedule) else EXIT_SOLVER
     form = build_formulation(form_cfg, ds.n)
     problem = EstimationProblem(model, ds, form)
     theta0 = cfg["model"].get("theta")
@@ -398,7 +406,7 @@ def cmd_estimate(cfg, seed, out_dir, trace):
     write_json(os.path.join(out_dir, "result.json"), payload)
     if trace:
         write_trace(os.path.join(out_dir, "trace.jsonl"), res.trace)
-    if res.status == "max-iter":
+    if res.status in FAILED_STATUSES:
         print(f"solver did not converge: status={res.status} "
               f"kkt={res.kkt_residual:.3e} cviol={res.constraint_violation:.3e}",
               file=sys.stderr)

@@ -54,6 +54,8 @@ class Dataset:
                 if not line:
                     continue
                 parts = line.split(",")
+                if len(parts) < 3:
+                    raise ValueError(f"row {line!r} has fewer than 3 fields")
                 u.append(float(parts[1]))
                 y.append(float(parts[2]))
         return cls(np.array(u), np.array(y), dict(meta or {}))

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataset import Dataset
 from .models import StateSpaceModel, regressor_matrices
 from .simulate import run_intervals
+from .solver import ShootingJacobian
 
 
 @dataclass(frozen=True)
@@ -324,8 +324,8 @@ class EstimationProblem:
             return np.full(self.n_constraints, np.nan)
         return (ev.end_states[:-1] - pt.x0s[1:]).ravel()
 
-    def constraint_jacobian(self, phi) -> sp.csr_matrix:
-        """Sparse Jacobian of the cohesion constraints.
+    def constraint_jacobian(self, phi) -> ShootingJacobian:
+        """Block-form Jacobian of the cohesion constraints.
 
         Block row i has nonzeros only in the theta columns, the x_0^i
         columns (from the end-state sensitivity) and the x_0^{i+1}
@@ -333,44 +333,12 @@ class EstimationProblem:
         """
         self._require(MultipleShooting)
         ev = self._evaluate(phi, with_sens=True)
-        nth, nx = self.model.theta_dim, self.model.state_dim
-        m = self.formulation.plan.m
-        if m < 2 or nx == 0:
-            return sp.csr_matrix((self.n_constraints, self.n_decision))
-        d_end = ev.end_state_sens[: m - 1]        # (m-1, nx, nth + nx)
-        blk = np.arange(m - 1)
-        rows_d = (blk[:, None, None] * nx
-                  + np.arange(nx)[None, :, None]
-                  + np.zeros(nth + nx, int)[None, None, :])
-        cols_d = np.zeros((m - 1, nx, nth + nx), int)
-        cols_d[..., :nth] = np.arange(nth)[None, None, :]
-        cols_d[..., nth:] = (nth + blk[:, None, None] * nx
-                             + np.arange(nx)[None, None, :])
-        rows_i = blk[:, None] * nx + np.arange(nx)[None, :]
-        cols_i = nth + (blk[:, None] + 1) * nx + np.arange(nx)[None, :]
-        data = np.concatenate([d_end.ravel(), -np.ones((m - 1) * nx)])
-        rows = np.concatenate([rows_d.ravel(), rows_i.ravel()])
-        cols = np.concatenate([cols_d.ravel(), cols_i.ravel()])
-        return sp.csr_matrix((data, (rows, cols)),
-                             shape=(self.n_constraints, self.n_decision))
+        return ShootingJacobian(ev.end_state_sens[: self.formulation.plan.m - 1],
+                                self.model.theta_dim)
 
     def constraint_jac_t_vec(self, phi, lam) -> np.ndarray:
-        """J_c(phi)^T lam without assembling the sparse matrix."""
-        self._require(MultipleShooting)
-        ev = self._evaluate(phi, with_sens=True)
-        nth, nx = self.model.theta_dim, self.model.state_dim
-        m = self.formulation.plan.m
-        out = np.zeros(self.n_decision)
-        if m < 2 or nx == 0:
-            return out
-        lam = np.asarray(lam, float).reshape(m - 1, nx)
-        d_end = ev.end_state_sens[: m - 1]        # (m-1, nx, nth + nx)
-        contrib = np.einsum("ixc,ix->ic", d_end, lam)
-        out[:nth] = contrib[:, :nth].sum(axis=0)
-        seeds = out[nth:].reshape(m, nx)
-        seeds[: m - 1] += contrib[:, nth:]
-        seeds[1:] -= lam
-        return out
+        """J_c(phi)^T lam."""
+        return self.constraint_jacobian(phi).T @ lam
 
     def lagrangian_hessian_vec(self, phi, lam, p) -> np.ndarray:
         """Gauss-Newton objective curvature plus a finite-difference

@@ -7,14 +7,23 @@ conjugate gradient on the QP
 
     min  g'p + 1/2 p'Hp   s.t.  J p = J v,  ||p|| <= Delta.
 
-The constraint Jacobian is factored once per iteration, by a thin SVD
-J = U S V'.  That one factorization gives the least-squares multipliers,
-the least-norm normal step, the exact null-space projection
-r - V(V'r) used by CG and the final drift correction.
+The constraint Jacobian is factored once per iteration, and that one
+factorization gives the least-squares multipliers, the least-norm normal
+step, the exact null-space projection used by CG and the final drift
+correction.  The Jacobian's type picks the factorization:
+
+* a ``ShootingJacobian`` (the cohesion constraints of multiple shooting:
+  block-bidiagonal in the interval seeds plus dense theta columns) gets
+  one banded LU of the KKT matrix [[I, J'], [J, 0]], with the seeds and
+  multipliers interleaved and theta brought in through a Schur
+  complement; its cost is linear in the number of intervals;
+* any other (dense) Jacobian gets a thin SVD J = U S V', truncated like
+  lstsq, which keeps lstsq's min-norm answers when J is rank-deficient.
 
 Steps are judged with the merit function phi = V + mu*||c||_2; the
 penalty mu only ever increases.  With zero constraints the method
-degrades to a plain trust-region Newton-CG.
+degrades to a plain trust-region Newton-CG.  A solve whose cost or
+gradient cannot be evaluated stops at once with status ``non-finite``.
 """
 from __future__ import annotations
 
@@ -23,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass
@@ -31,7 +39,8 @@ class NlpProblem:
     """Callback record for one nonlinear program.
 
     ``hess_vec(x, lam, p)`` applies the Lagrangian Hessian (or an
-    approximation of it); ``c``/``jac`` may be None when m = 0.
+    approximation of it); ``c``/``jac`` may be None when m = 0.  ``jac``
+    returns a dense array or a ``ShootingJacobian``.
     """
 
     n: int
@@ -45,11 +54,11 @@ class NlpProblem:
     def constraint(self, x):
         return np.asarray(self.c(x), float) if self.m else np.zeros(0)
 
-    def jacobian(self, x) -> np.ndarray:
+    def jacobian(self, x):
         if not self.m:
             return np.zeros((0, self.n))
         j = self.jac(x)
-        return j.toarray() if sp.issparse(j) else np.asarray(j, float)
+        return j if isinstance(j, ShootingJacobian) else np.asarray(j, float)
 
 
 @dataclass
@@ -90,7 +99,7 @@ class SolverState:
 class SolverResult:
     point: np.ndarray
     multipliers: np.ndarray
-    status: str                 # converged | max-iter | step-too-small
+    status: str                 # converged | max-iter | step-too-small | non-finite
     cost: float
     kkt_residual: float
     constraint_violation: float
@@ -104,9 +113,166 @@ class SolverResult:
         return self.status == "converged"
 
 
+@dataclass(frozen=True)
+class ShootingJacobian:
+    """Jacobian of the multiple-shooting cohesion constraints, in block form.
+
+    The decision vector is (theta, x_0^1, ..., x_0^M).  Block row i of J
+    (i = 1..M-1) differentiates x^i[m_{i+1}] - x_0^{i+1}: it holds the
+    end-state sensitivity ``blocks[i-1]`` (n_x rows; n_theta theta columns,
+    then the n_x columns of x_0^i) and -I in the columns of x_0^{i+1}.
+    """
+
+    blocks: np.ndarray      # (M - 1, n_x, n_theta + n_x)
+    n_theta: int
+
+    @property
+    def shape(self) -> tuple:
+        k, nx, _ = self.blocks.shape
+        return (k * nx, self.n_theta + (k + 1) * nx)
+
+    @property
+    def T(self) -> "_TransposedShootingJacobian":
+        return _TransposedShootingJacobian(self)
+
+    def __matmul__(self, v) -> np.ndarray:
+        nth = self.n_theta
+        k, nx, _ = self.blocks.shape
+        v = np.asarray(v, float)
+        seeds = v[nth:].reshape(k + 1, nx)
+        out = (self.blocks[..., :nth] @ v[:nth]
+               + np.einsum("ixc,ic->ix", self.blocks[..., nth:], seeds[:-1])
+               - seeds[1:])
+        return out.ravel()
+
+    def rmatvec(self, lam) -> np.ndarray:
+        """J' lam."""
+        nth = self.n_theta
+        k, nx, _ = self.blocks.shape
+        lam = np.asarray(lam, float).reshape(k, nx)
+        contrib = np.einsum("ixc,ix->ic", self.blocks, lam)
+        seeds = np.zeros((k + 1, nx))
+        seeds[:-1] = contrib[:, nth:]
+        seeds[1:] -= lam
+        return np.concatenate([contrib[:, :nth].sum(axis=0), seeds.ravel()])
+
+    def toarray(self) -> np.ndarray:
+        nth = self.n_theta
+        k, nx, _ = self.blocks.shape
+        seeds = np.zeros((k, nx, k + 1, nx))
+        i = np.arange(k)
+        seeds[i, :, i, :] = self.blocks[..., nth:]
+        seeds[i, :, i + 1, :] = -np.eye(nx)
+        return np.concatenate([self.blocks[..., :nth],
+                               seeds.reshape(k, nx, (k + 1) * nx)],
+                              axis=2).reshape(self.shape)
+
+
+@dataclass(frozen=True)
+class _TransposedShootingJacobian:
+    jac: ShootingJacobian
+
+    def __matmul__(self, lam) -> np.ndarray:
+        return self.jac.rmatvec(lam)
+
+
+@dataclass
+class ShootingKkt:
+    """Banded LU of K = [[I, J'], [J, 0]] for a ``ShootingJacobian``.
+
+    Seeds and multipliers are interleaved as x_0^1, lam_1, x_0^2, ...,
+    lam_{M-1}, x_0^M, which makes K without its theta rows and columns
+    (K_b) banded with kl = ku = 2 n_x - 1; LAPACK's dgbtrf factors it.
+    The theta columns enter as a border of width n_theta through the
+    Schur complement S = I - C' K_b^-1 C, C being the theta columns of J
+    placed on the multiplier rows.  K_b is nonsingular because the seed
+    columns of J are block-bidiagonal with -I on the diagonal, so J always
+    has full row rank.
+
+    Each answer is read from its own block of a solution of K, never
+    formed as -J'y, which loses digits once J is ill-conditioned.
+    """
+
+    jac: ShootingJacobian
+    lu: np.ndarray          # dgbtrf band storage of K_b
+    piv: np.ndarray
+    kinv_c: np.ndarray      # K_b^-1 C, (size of K_b, n_theta)
+    schur: np.ndarray       # S, (n_theta, n_theta)
+
+    @classmethod
+    def of(cls, jac: ShootingJacobian) -> "ShootingKkt":
+        from scipy.linalg import lapack
+
+        nth = jac.n_theta
+        k, nx, _ = jac.blocks.shape
+        size = (2 * k + 1) * nx
+        w = 2 * nx - 1
+        ab = np.zeros((3 * w + 1, size), order="F")
+
+        def put(rows, cols, vals):
+            # dgbtrf band storage: K[r, c] lives at ab[kl + ku + r - c, c]
+            rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+            ab[2 * w + rows - cols, cols] = vals
+
+        # positions of x_0^i (k + 1, n_x) and of lam_i (k, n_x) in K_b
+        seed = 2 * np.arange(k + 1)[:, None] * nx + np.arange(nx)
+        lam = seed[:-1] + nx
+        d_seed = jac.blocks[..., nth:]
+        put(lam[:, :, None], seed[:-1, None, :], d_seed)    # J: d x^i_end / d x_0^i
+        put(seed[:-1, None, :], lam[:, :, None], d_seed)    # J'
+        put(lam, seed[1:], -1.0)                            # J: -I on x_0^{i+1}
+        put(seed[1:], lam, -1.0)                            # J'
+        put(seed, seed, 1.0)
+        lu, piv, info = lapack.dgbtrf(ab, w, w, overwrite_ab=1)
+        if info:
+            raise np.linalg.LinAlgError(f"banded KKT factorization failed (info={info})")
+        c = np.zeros((2 * k + 1, nx, nth))
+        c[1::2] = jac.blocks[..., :nth]
+        kinv_c = _band_solve(lu, piv, c.reshape(size, nth))
+        schur = np.eye(nth) - np.einsum(
+            "ixt,ixu->tu", c[1::2], kinv_c.reshape(2 * k + 1, nx, nth)[1::2])
+        return cls(jac, lu, piv, kinv_c, schur)
+
+    def _solve(self, r: np.ndarray, b: np.ndarray):
+        """(x, y) with x + J'y = r and Jx = b."""
+        nth = self.jac.n_theta
+        k, nx, _ = self.jac.blocks.shape
+        s = np.empty((2 * k + 1, nx))
+        s[0::2] = r[nth:].reshape(k + 1, nx)
+        s[1::2] = b.reshape(k, nx)
+        w0 = _band_solve(self.lu, self.piv, s.ravel()).reshape(2 * k + 1, nx)
+        x_theta = np.linalg.solve(
+            self.schur, r[:nth] - np.einsum("ixt,ix->t",
+                                            self.jac.blocks[..., :nth], w0[1::2]))
+        sol = w0 - (self.kinv_c @ x_theta).reshape(2 * k + 1, nx)
+        return np.concatenate([x_theta, sol[0::2].ravel()]), sol[1::2].ravel()
+
+    def multipliers(self, grad: np.ndarray) -> np.ndarray:
+        """argmin_lam ||grad + J' lam||."""
+        return self._solve(-grad, np.zeros(self.jac.shape[0]))[1]
+
+    def least_norm(self, b: np.ndarray) -> np.ndarray:
+        """Min-norm x with J x = b."""
+        return self._solve(np.zeros(self.jac.shape[1]), b)[0]
+
+    def null_project(self, r: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of r onto the null space of J."""
+        return self._solve(r, np.zeros(self.jac.shape[0]))[0]
+
+
+def _band_solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    from scipy.linalg import lapack
+
+    w = (lu.shape[0] - 1) // 3          # kl = ku, band storage has 3w + 1 rows
+    x, info = lapack.dgbtrs(lu, w, w, rhs, piv)
+    if info:
+        raise np.linalg.LinAlgError(f"banded KKT solve failed (info={info})")
+    return x
+
+
 @dataclass
 class JacobianSvd:
-    """Thin SVD J = U diag(s) V' of the constraint Jacobian.
+    """Thin SVD J = U diag(s) V' of a dense constraint Jacobian.
 
     Singular values at or below eps*max(m, n)*s_max (the default cutoff of
     numpy's least-squares solver) are dropped, so a rank-deficient J gets
@@ -124,6 +290,10 @@ class JacobianSvd:
         keep = s > np.finfo(float).eps * max(jac.shape) * (s[0] if s.size else 0.0)
         return cls(jac, u[:, keep], s[keep], vt[keep])
 
+    def multipliers(self, grad: np.ndarray) -> np.ndarray:
+        """Min-norm argmin_lam ||grad + J' lam||."""
+        return -self.u @ ((self.vt @ grad) / self.s)
+
     def least_norm(self, b: np.ndarray) -> np.ndarray:
         """Min-norm x minimizing ||J x - b||."""
         return self.vt.T @ ((self.u.T @ b) / self.s)
@@ -133,12 +303,19 @@ class JacobianSvd:
         return r - self.vt.T @ (self.vt @ r)
 
 
-def lagrange_multipliers(grad: np.ndarray, fac: JacobianSvd) -> np.ndarray:
+def factorize(jac):
+    """The one factorization of an iteration, chosen by the Jacobian's type."""
+    if isinstance(jac, ShootingJacobian):
+        return ShootingKkt.of(jac)
+    return JacobianSvd.of(jac)
+
+
+def lagrange_multipliers(grad: np.ndarray, fac) -> np.ndarray:
     """Least-squares multipliers: argmin_lam ||grad + J' lam||."""
-    return -fac.u @ ((fac.vt @ grad) / fac.s)
+    return fac.multipliers(grad)
 
 
-def vertical_step(fac: JacobianSvd, c: np.ndarray, delta: float, eta: float = 0.8):
+def vertical_step(fac, c: np.ndarray, delta: float, eta: float = 0.8):
     """Dogleg step toward feasibility: min ||Jv + c|| s.t. ||v|| <= eta*delta.
 
     Blends the Cauchy point of the Gauss-Newton model with the least-norm
@@ -175,7 +352,7 @@ def vertical_step(fac: JacobianSvd, c: np.ndarray, delta: float, eta: float = 0.
     return v, jac @ v + c
 
 
-def horizontal_step(grad: np.ndarray, hess_op: Callable, fac: JacobianSvd,
+def horizontal_step(grad: np.ndarray, hess_op: Callable, fac,
                     v: np.ndarray, delta: float, max_cg: int,
                     tol: float = 1e-10):
     """Projected CG for the trust-region QP, started at the vertical step.
@@ -217,12 +394,11 @@ def horizontal_step(grad: np.ndarray, hess_op: Callable, fac: JacobianSvd,
         beta = rz_new / rz
         rz = rz_new
         d = -z + beta * d
-    # remove projection drift so that Jp = Jv holds to rounding
+    # remove projection drift so that Jp = Jv holds to rounding; with an
+    # exact projector the correction is at rounding level, so hp is kept
     drift = fac.jac @ p - fac.jac @ v
     if np.any(drift):
-        corr = fac.least_norm(drift)
-        p = p - corr
-        hp = hp - np.asarray(hess_op(corr), float) if np.any(corr) else hp
+        p = p - fac.least_norm(drift)
     return p, hp
 
 
@@ -267,8 +443,11 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
     for it in range(opts.max_iter):
         state.iteration = it
         g = np.asarray(problem.grad(x), float)
+        if not (np.isfinite(v_val) and np.all(np.isfinite(g))):
+            status = "non-finite"
+            break
         jac = problem.jacobian(x)
-        fac = JacobianSvd.of(jac)
+        fac = factorize(jac)
         lam = lagrange_multipliers(g, fac)
         state.multipliers = lam
         grad_l = g + (jac.T @ lam if problem.m else 0.0)
@@ -357,18 +536,20 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
     else:
         it = opts.max_iter - 1
 
-    if status != "converged":
+    if status == "non-finite":
+        kkt = np.nan
+    elif status != "converged":
         jac = problem.jacobian(x)
         g = np.asarray(problem.grad(x), float)
-        lam = lagrange_multipliers(g, JacobianSvd.of(jac))
+        lam = lagrange_multipliers(g, factorize(jac))
         state.multipliers = lam
         grad_l = g + (jac.T @ lam if problem.m else 0.0)
         kkt = float(np.max(np.abs(grad_l))) if problem.n else 0.0
-        cviol = float(np.max(np.abs(c))) if problem.m else 0.0
+    cviol = float(np.max(np.abs(c))) if problem.m else 0.0
 
     return SolverResult(
         point=x, multipliers=state.multipliers, status=status, cost=v_val,
         kkt_residual=kkt, constraint_violation=cviol,
-        iterations=it + (0 if status == "converged" else 1),
+        iterations=it + (0 if status in ("converged", "non-finite") else 1),
         n_eval=state.n_eval, wall_time=time.perf_counter() - t_start,
         trace=trace)

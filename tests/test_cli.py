@@ -210,6 +210,38 @@ def test_empty_dataset_rejected(tmp_path, capsys):
     assert "dataset.n" in capsys.readouterr().err
 
 
+def test_non_finite_start_exits_4(tmp_path, capsys):
+    cfg = _estimate_cfg(n=40)
+    cfg["model"]["theta"] = [1e80]
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 4
+    assert "status=non-finite" in capsys.readouterr().err
+    result = json.loads((out / "result.json").read_text())
+    assert (result["status"], result["iterations"], result["n_eval"]) == ("non-finite", 0, 1)
+
+
+def _csv_estimate_cfg(tmp_path, text):
+    csv = tmp_path / "data.csv"
+    csv.write_text(text)
+    cfg = _estimate_cfg()
+    cfg["dataset"] = {"csv": str(csv)}
+    return _write(tmp_path, cfg)
+
+
+def test_header_only_csv_exits_3(tmp_path, capsys):
+    path = _csv_estimate_cfg(tmp_path, "k,u,y\n")
+    assert main(["validate", "--config", path]) == 0
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "dataset.csv" in capsys.readouterr().err
+
+
+def test_bad_csv_header_exits_3(tmp_path, capsys):
+    path = _csv_estimate_cfg(tmp_path, "time,input,output\n1,0.0,0.5\n")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "dataset.csv" in capsys.readouterr().err
+
+
 def test_theta_length_must_match_model(tmp_path, capsys):
     cfg = _estimate_cfg()
     cfg["model"]["theta"] = [3.4, 1.0]

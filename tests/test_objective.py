@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from msid import (Dataset, EstimationProblem, MsaPem, MultipleShooting,
                   ShootingPlan, SingleShooting, as_nlp, cost_sequential,
-                  gen_logistic)
+                  gen_linear2nd, gen_logistic, gen_pendulum)
 from msid.models import LogisticMap, Pendulum, linear_arx, linear_oe_2nd, \
     lower_to_state_space
+
+from msid.solver import JacobianSvd, ShootingKkt, lagrange_multipliers
 
 import oracles
 
@@ -164,6 +166,54 @@ def test_constraint_jac_t_vec_matches_dense(rng):
     dense = prob.constraint_jacobian(phi).toarray().T @ lam
     fast = prob.constraint_jac_t_vec(phi, lam)
     np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=1e-14)
+
+
+# (family, generator, theta): n_theta = n_x = 1, n_theta = n_x = 2, and
+# n_theta = 3 > n_x = 2
+SHOOTING_FAMILIES = {
+    "logistic": (LogisticMap, lambda n: gen_logistic(n=n), [3.3]),
+    "pendulum": (Pendulum, lambda n: gen_pendulum("b", n=n), None),
+    "linear-oe-2nd": (linear_oe_2nd, lambda n: gen_linear2nd(n=n), None),
+}
+SHOOTING_BOUNDS = {"unequal": (0, 3, 4, 9, 11, 16), "two-intervals": (0, 7, 16)}
+
+
+def _shooting_point(family, bounds, rng):
+    make_family, generate, theta = SHOOTING_FAMILIES[family]
+    plan = ShootingPlan(bounds, int(np.diff(bounds).max()))
+    prob = EstimationProblem(lower_to_state_space(make_family()),
+                             generate(bounds[-1]), MultipleShooting(plan))
+    phi = prob.default_point(None if theta is None else np.array(theta))
+    return prob, phi + rng.normal(scale=0.01, size=phi.size)
+
+
+@pytest.mark.parametrize("bounds", SHOOTING_BOUNDS.values(), ids=SHOOTING_BOUNDS)
+@pytest.mark.parametrize("family", SHOOTING_FAMILIES)
+def test_shooting_jacobian_products_match_dense(family, bounds, rng):
+    prob, phi = _shooting_point(family, bounds, rng)
+    jac = prob.constraint_jacobian(phi)
+    dense = jac.toarray()
+    assert jac.shape == dense.shape == (prob.n_constraints, prob.n_decision)
+    v = rng.normal(size=prob.n_decision)
+    lam = rng.normal(size=prob.n_constraints)
+    np.testing.assert_allclose(jac @ v, dense @ v, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(jac.T @ lam, dense.T @ lam, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("bounds", SHOOTING_BOUNDS.values(), ids=SHOOTING_BOUNDS)
+@pytest.mark.parametrize("family", SHOOTING_FAMILIES)
+def test_banded_kkt_matches_svd(family, bounds, rng):
+    prob, phi = _shooting_point(family, bounds, rng)
+    jac = prob.constraint_jacobian(phi)
+    kkt = ShootingKkt.of(jac)
+    svd = JacobianSvd.of(jac.toarray())
+    g, r = rng.normal(size=(2, prob.n_decision))
+    b = rng.normal(size=prob.n_constraints)
+    for got, ref in ((lagrange_multipliers(g, kkt), lagrange_multipliers(g, svd)),
+                     (kkt.least_norm(b), svd.least_norm(b)),
+                     (kkt.null_project(r), svd.null_project(r))):
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.linalg.norm(jac @ kkt.null_project(r)) <= 1e-12 * np.linalg.norm(r)
 
 
 def test_gn_hessian_vec_is_symmetric_psd(rng):

@@ -1,7 +1,16 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from msid import NlpProblem, SolverOptions, solve
+import msid
+from msid import (EstimationProblem, MultipleShooting, NlpProblem,
+                  ShootingPlan, SingleShooting, SolverOptions, as_nlp,
+                  gen_logistic, solve)
+from msid.models import LogisticMap, lower_to_state_space
 from msid.solver import (JacobianSvd, horizontal_step, lagrange_multipliers,
                          merit, vertical_step)
 
@@ -337,6 +346,43 @@ def test_result_reports_cost_at_final_point():
     res = solve(nlp, np.array([1.0, 1.0]))
     assert res.cost == pytest.approx(nlp.f(res.point), rel=1e-12)
     np.testing.assert_allclose(res.point, 0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("form,theta0", [
+    (MultipleShooting(ShootingPlan.from_max_len(40, 2)), 1e80),
+    (SingleShooting(), 40.0),
+], ids=["multiple-shooting", "single-shooting"])
+def test_non_finite_start_stops_at_once(form, theta0):
+    prob = EstimationProblem(lower_to_state_space(LogisticMap()),
+                             gen_logistic(n=40), form)
+    res = solve(as_nlp(prob), prob.default_point(np.array([theta0])),
+                SolverOptions(max_iter=30))
+    assert res.status == "non-finite"
+    assert res.iterations == 0
+    assert res.n_eval == 1
+
+
+def test_infinite_trial_cost_is_rejected():
+    # the cost is +inf left of x = -0.5, where its minimizer x = -2 lies
+    nlp = NlpProblem(
+        n=1, m=0,
+        f=lambda x: float((x[0] + 2.0) ** 2) if x[0] > -0.5 else np.inf,
+        grad=lambda x: 2.0 * (x + 2.0),
+        hess_vec=lambda x, lam, p: 2.0 * p)
+    res = solve(nlp, np.array([1.0]), SolverOptions(max_iter=50, trace=True))
+    assert res.status != "non-finite"
+    assert np.isfinite(res.cost) and res.point[0] > -0.5
+    assert any(rec["ratio"] == -np.inf for rec in res.trace)
+
+
+def test_import_loads_no_scipy():
+    src = pathlib.Path(msid.__file__).resolve().parents[1]
+    code = ("import sys, msid; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_start_far_from_feasible_set():
