@@ -9,6 +9,7 @@ timing drivers, all reproducible from (config, seed).
 """
 from __future__ import annotations
 
+import gc
 import json
 import time
 from dataclasses import dataclass, field, asdict
@@ -492,13 +493,21 @@ def total_variation(grid: np.ndarray) -> float:
     return float(alld.mean()) if alld.size else 0.0
 
 
+SAMPLE_SECONDS = 0.1    # wall time per setting and repetition
+
+
 def timing_study(model_family, dataset: Dataset, k_list=(), dm_list=(),
                  reps: int = 5, theta=None) -> ExperimentResult:
     """Wall time per cost evaluation versus the horizon K and versus the
     interval cap of multiple shooting.
 
     Multiple-shooting timing uses the single-pass evaluation, whose work
-    is proportional to the record length alone.
+    is proportional to the record length alone.  Each repetition spends
+    about SAMPLE_SECONDS on every horizon (then on every cap), one
+    evaluation of each in turn, so a change of load on a shared machine
+    slows every setting alike instead of bending the curve; the garbage
+    collector is off meanwhile.  A setting's time is the mean over all
+    of its evaluations.
     """
     model = lower_to_state_space(model_family)
     if theta is None:
@@ -507,30 +516,52 @@ def timing_study(model_family, dataset: Dataset, k_list=(), dm_list=(),
     result = ExperimentResult(config={
         "study": "timing", "model": model.name, "n": dataset.n,
         "k_list": list(k_list), "dm_list": list(dm_list), "reps": reps})
-    for k in k_list:
+
+    def msa_eval(k):
         problem = EstimationProblem(model, dataset, MsaPem(int(k)))
         phi = problem.default_point(theta)
-        problem.cost(phi)                       # warm-up
-        times = []
-        for r in range(reps):
+
+        def run():
             problem._cache.clear()
-            t0 = time.perf_counter()
             problem.cost(phi)
-            times.append(time.perf_counter() - t0)
-        result.records.append({"kind": "msa", "K": int(k),
-                               "time_per_eval": audited_median(times)})
-    for dm in dm_list:
+        return run
+
+    def ms_eval(dm):
         plan = ShootingPlan.from_max_len(dataset.n, int(dm))
         problem = EstimationProblem(model, dataset, MultipleShooting(plan))
         phi = problem.default_point(theta)
-        cost_sequential(problem, phi)           # warm-up
-        times = []
-        for r in range(reps):
-            t0 = time.perf_counter()
-            cost_sequential(problem, phi)
-            times.append(time.perf_counter() - t0)
+        return lambda: cost_sequential(problem, phi)
+
+    def mean_times(evals):
+        loops = []
+        for run in evals:
+            run()                               # warm-up
+            t0 = time.perf_counter()            # then a loop count that
+            run()                               # spends about SAMPLE_SECONDS
+            took = max(time.perf_counter() - t0, 1e-9)
+            loops.append(max(1, round(SAMPLE_SECONDS / took)))
+        spent = [0.0] * len(evals)
+        gc_was_on = gc.isenabled()
+        gc.disable()            # a collection of the whole heap is not the cost
+        try:
+            for r in range(reps):
+                for j in range(max(loops)):
+                    for i, run in enumerate(evals):
+                        if j < loops[i]:
+                            t0 = time.perf_counter()
+                            run()
+                            spent[i] += time.perf_counter() - t0
+        finally:
+            if gc_was_on:
+                gc.enable()
+        return [t / (reps * n) for t, n in zip(spent, loops)]
+
+    for k, t in zip(k_list, mean_times([msa_eval(k) for k in k_list])):
+        result.records.append({"kind": "msa", "K": int(k),
+                               "time_per_eval": t})
+    for dm, t in zip(dm_list, mean_times([ms_eval(dm) for dm in dm_list])):
         result.records.append({"kind": "multiple-shooting", "max_len": int(dm),
-                               "time_per_eval": audited_median(times)})
+                               "time_per_eval": t})
     msa = [(r["K"], r["time_per_eval"]) for r in result.records if r["kind"] == "msa"]
     if len(msa) >= 3:
         slope, _, r2 = linear_fit_r2([k for k, _ in msa], [t for _, t in msa])

@@ -137,6 +137,7 @@ class EstimationProblem:
         self.formulation = formulation
         self._zy, self._zu = regressor_matrices(model, dataset)
         self._cache: dict[bytes, _FullEval] = {}
+        self._msa_windows = None
         if isinstance(formulation, MultipleShooting):
             if formulation.plan.boundaries[-1] != dataset.n:
                 raise ValueError("shooting plan must cover the dataset exactly")
@@ -196,10 +197,14 @@ class EstimationProblem:
         if isinstance(f, SingleShooting):
             x0 = pt.x0s if f.optimize_x0 else self.heuristic_seeds()
             return np.array([0]), np.array([n]), x0
-        k = np.arange(1, n + 1)
-        starts = np.maximum(0, k - f.horizon)
-        seeds = self.heuristic_seeds_msa(starts)
-        return starts, k - starts, seeds
+        if self._msa_windows is None:
+            # the windows and their data-built seeds depend on the record
+            # alone, so they are built once rather than at every point
+            k = np.arange(1, n + 1)
+            starts = np.maximum(0, k - f.horizon)
+            self._msa_windows = (starts, k - starts,
+                                 self.heuristic_seeds_msa(starts))
+        return self._msa_windows
 
     def heuristic_seeds_msa(self, starts) -> np.ndarray:
         y, u = self.dataset.y, self.dataset.u
