@@ -13,7 +13,7 @@ from .simulate import (BatchRollout, DivergenceError, SensitivityTrace,
                        run_intervals, simulate, simulate_with_sensitivities)
 from .objective import (EstimationProblem, MsaPem, MultipleShooting,
                         ParameterPoint, ShootingPlan, SingleShooting,
-                        as_nlp, cost_sequential, incremental_k_schedule)
+                        as_nlp, incremental_k_schedule)
 from .solver import (JacobianSvd, NlpProblem, ShootingJacobian, ShootingKkt,
                      SolverOptions, SolverResult, solve, lagrange_multipliers)
 from .smoothness import (PairEstimate, RegimeFit, SmoothnessReport,

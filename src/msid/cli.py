@@ -115,7 +115,25 @@ def validate_config(cfg: dict) -> dict:
     if command == "study":
         _check("study" in cfg, "config.study", "missing required field")
         _validate_study(cfg["study"])
+        kind = cfg["study"]["kind"]
+        for key in STUDY_INPUTS[kind]:
+            _check(key in cfg, f"config.{key}", "missing required field")
+        if kind == "grid":
+            family = cfg["model"]["family"]
+            dim = _theta_dim(family)
+            _check(len(cfg["study"]["grid"]) == dim, "config.study.grid",
+                   f"expected {dim} axes for family {family!r}")
     return cfg
+
+
+# top-level fields each study kind reads
+STUDY_INPUTS = {"multi-start": ("model", "dataset", "formulation"), "monte-carlo": (),
+                "grid": ("model", "dataset", "formulation"),
+                "timing": ("model", "dataset"), "incremental": ("model", "dataset")}
+
+
+def _theta_dim(family: str) -> int:
+    return lower_to_state_space(build_model_family({"family": family})).theta_dim
 
 
 def _validate_model(obj):
@@ -127,8 +145,7 @@ def _validate_model(obj):
                "expected a list of numbers")
         for i, v in enumerate(obj["theta"]):
             _num(v, f"config.model.theta[{i}]")
-        dim = lower_to_state_space(
-            build_model_family({"family": obj["family"]})).theta_dim
+        dim = _theta_dim(obj["family"])
         _check(len(obj["theta"]) == dim, "config.model.theta",
                f"expected {dim} values for family {obj['family']!r}")
 
@@ -251,7 +268,13 @@ def _validate_study(obj):
         for i, axis in enumerate(grid):
             _check(isinstance(axis, list) and len(axis) == 3,
                    f"config.study.grid[{i}]", "expected [lo, hi, count]")
+            _num(axis[0], f"config.study.grid[{i}][0]")
+            _num(axis[1], f"config.study.grid[{i}][1]")
             _num(axis[2], f"config.study.grid[{i}][2]", int, min_value=1)
+        _check(isinstance(obj.get("fixed_seeds", []), list),
+               "config.study.fixed_seeds", "expected a list of numbers")
+        for i, v in enumerate(obj.get("fixed_seeds", [])):
+            _num(v, f"config.study.fixed_seeds[{i}]")
     if kind == "timing":
         _check("k_list" in obj or "dm_list" in obj, "config.study",
                "needs 'k_list' or 'dm_list'")
@@ -323,10 +346,11 @@ def build_solver_options(obj: dict | None, trace: bool) -> SolverOptions:
 # ---------------------------------------------------------------------------
 
 def _strip_timing(obj):
-    """Drop wall-time fields so reruns of (config, seed) are byte-identical."""
+    """Drop wall times, and the timing study's summaries of them, so
+    reruns of (config, seed) are byte-identical."""
     if isinstance(obj, dict):
-        return {k: _strip_timing(v) for k, v in obj.items()
-                if k not in ("wall_time", "time_per_eval")}
+        return {k: _strip_timing(v) for k, v in obj.items() if k not in
+                ("wall_time", "time_per_eval", "msa_slope", "msa_r2", "ms_spread")}
     if isinstance(obj, list):
         return [_strip_timing(v) for v in obj]
     return obj
@@ -498,12 +522,12 @@ def cmd_study(cfg, seed, out_dir, trace):
         ds = build_dataset(cfg["dataset"], seed)
         form = build_formulation(cfg["formulation"], ds.n)
         problem = EstimationProblem(model, ds, form)
-        default_cells = 60 if profile == "desk" else 200
-        axes = [np.linspace(lo, hi, int(count) if count else default_cells)
-                for lo, hi, count in study["grid"]]
+        axes = [np.linspace(lo, hi, int(count)) for lo, hi, count in study["grid"]]
         seeds = study.get("fixed_seeds")
-        grid = xp.grid_scan(problem, axes,
-                            None if seeds is None else np.asarray(seeds, float))
+        want = problem.n_seeds * model.state_dim    # depends on the record
+        _check(seeds is None or len(seeds) == want, "config.study.fixed_seeds",
+               f"expected {want} numbers for this problem")
+        grid = xp.grid_scan(problem, axes, seeds)
         result = xp.ExperimentResult(
             config={"study": "grid", "axes": [a.tolist() for a in axes]},
             records=[{"costs": grid.tolist()}],
@@ -515,6 +539,9 @@ def cmd_study(cfg, seed, out_dir, trace):
                                  k_list=study.get("k_list", ()),
                                  dm_list=study.get("dm_list", ()),
                                  reps=int(study.get("reps", 5)))
+        # the measured times go to their own file; result.json drops them
+        write_json(os.path.join(out_dir, "timing.json"),
+                   dataclasses.asdict(result), deterministic=False)
     else:
         family = build_model_family(cfg["model"])
         model = lower_to_state_space(family)

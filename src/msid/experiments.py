@@ -20,7 +20,7 @@ from .dataset import Dataset
 from .models import (LogisticMap, Pendulum, farina_polynomial, linear_arx,
                      linear_oe_2nd, lower_to_state_space)
 from .objective import (EstimationProblem, MsaPem, MultipleShooting,
-                        ShootingPlan, SingleShooting, as_nlp, cost_sequential)
+                        ShootingPlan, SingleShooting, as_nlp)
 from .solver import SolverOptions, solve
 
 PENDULUM_TRUE = (9.8 / 0.3, 2.0)
@@ -405,76 +405,27 @@ def monte_carlo_study(config: MonteCarloConfig) -> ExperimentResult:
     return result
 
 
-def _grid_costs_batched(problem: EstimationProblem, thetas: np.ndarray,
-                        fixed_seeds: np.ndarray) -> np.ndarray:
-    """All grid cells rolled forward in lockstep (one batch row per cell).
-
-    Exploits the fixed seeds: every cell resets to the same state at the
-    same boundaries, so a single pass over time covers the whole grid.
-    Model callables receive theta as a (theta_dim, G) array.
-    """
-    from .models import RegressorWindow
-
-    model = problem.model
-    form = problem.formulation
-    if isinstance(form, MultipleShooting):
-        starts = form.plan.starts
-    elif isinstance(form, SingleShooting) and form.optimize_x0:
-        starts = np.array([0])
-    else:
-        raise NotImplementedError("batched grid needs shooting seeds")
-    seeds = np.asarray(fixed_seeds, float).reshape(len(starts), model.state_dim)
-    reset = {int(s): seeds[i] for i, s in enumerate(starts)}
-    zy, zu, y = problem._zy, problem._zu, problem.dataset.y
-    n = problem.dataset.n
-    g = thetas.shape[0]
-    th_t = np.ascontiguousarray(thetas.T)
-    acc = np.zeros(g)
-    x = np.zeros((g, model.state_dim))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n):
-            if k in reset:
-                x = np.repeat(reset[k][None, :], g, axis=0)
-            z = RegressorWindow(zy[k: k + 1], zu[k: k + 1])
-            x = model.transition(x, z, th_t)
-            acc += (y[k] - model.output(x, z, th_t)[:, 0]) ** 2
-    costs = acc / n
-    costs[~np.isfinite(costs)] = np.inf
-    return costs
-
-
 def grid_scan(problem: EstimationProblem, theta_grid, fixed_seeds=None) -> np.ndarray:
     """Cost surface over a Cartesian parameter grid with seeds held fixed.
 
     ``theta_grid`` is one 1-D axis per parameter; returns the cost array
     with one axis per parameter (a 1x..x1 grid yields a single cell).
-    Uses the lockstep batched evaluation when it agrees with the scalar
-    cost on spot-checked cells, otherwise cell-by-cell evaluation.
+    Shooting formulations evaluate the whole grid in one pass of
+    ``batch_costs``; multi-step-ahead problems, which have no seeds to
+    hold fixed, are evaluated cell by cell.
     """
     axes = [np.atleast_1d(np.asarray(a, float)) for a in theta_grid]
     if len(axes) != problem.model.theta_dim:
         raise ValueError("need one grid axis per model parameter")
     if fixed_seeds is None:
         fixed_seeds = problem.default_point()[problem.model.theta_dim:]
-    fixed_seeds = np.asarray(fixed_seeds, float)
     shape = tuple(len(a) for a in axes)
     mesh = np.meshgrid(*axes, indexing="ij")
     thetas = np.stack([m.ravel() for m in mesh], axis=1)
-
-    def scalar_cost(theta):
-        return problem.cost(np.concatenate([theta, fixed_seeds]))
-
-    try:
-        costs = _grid_costs_batched(problem, thetas, fixed_seeds)
-        check = np.linspace(0, thetas.shape[0] - 1, min(5, thetas.shape[0])).astype(int)
-        for i in check:
-            ref = scalar_cost(thetas[i])
-            agree = (costs[i] == ref) or (
-                np.isfinite(ref) and abs(costs[i] - ref) <= 1e-9 * (1 + abs(ref)))
-            if not agree:
-                raise NotImplementedError("batched grid disagrees with scalar cost")
-    except NotImplementedError:
-        costs = np.array([scalar_cost(t) for t in thetas])
+    if isinstance(problem.formulation, MsaPem):
+        costs = np.array([problem.cost(t) for t in thetas])
+    else:
+        costs = problem.batch_costs(thetas, fixed_seeds)
     return costs.reshape(shape)
 
 
@@ -501,13 +452,13 @@ def timing_study(model_family, dataset: Dataset, k_list=(), dm_list=(),
     """Wall time per cost evaluation versus the horizon K and versus the
     interval cap of multiple shooting.
 
-    Multiple-shooting timing uses the single-pass evaluation, whose work
-    is proportional to the record length alone.  Each repetition spends
-    about SAMPLE_SECONDS on every horizon (then on every cap), one
-    evaluation of each in turn, so a change of load on a shared machine
-    slows every setting alike instead of bending the curve; the garbage
-    collector is off meanwhile.  A setting's time is the mean over all
-    of its evaluations.
+    Multiple-shooting timing uses ``batch_costs`` at one parameter
+    vector, whose work is proportional to the record length alone.  Each
+    repetition spends about SAMPLE_SECONDS on every horizon (then on
+    every cap), one evaluation of each in turn, so a change of load on a
+    shared machine slows every setting alike instead of bending the
+    curve; the garbage collector is off meanwhile.  A setting's time is
+    the mean over all of its evaluations.
     """
     model = lower_to_state_space(model_family)
     if theta is None:
@@ -529,8 +480,8 @@ def timing_study(model_family, dataset: Dataset, k_list=(), dm_list=(),
     def ms_eval(dm):
         plan = ShootingPlan.from_max_len(dataset.n, int(dm))
         problem = EstimationProblem(model, dataset, MultipleShooting(plan))
-        phi = problem.default_point(theta)
-        return lambda: cost_sequential(problem, phi)
+        seeds = problem.default_point(theta)[model.theta_dim:]
+        return lambda: problem.batch_costs(theta[None, :], seeds)
 
     def mean_times(evals):
         loops = []

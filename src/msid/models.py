@@ -13,7 +13,10 @@ noiseless outputs) and ARMAX (state = past noise estimates).
 
 All model callables are batched: ``x`` has shape (B, N_x), the regressor
 fields have shape (B, n_y) and (B, n_u + 1), and Jacobians come back with
-a leading batch axis.  ``theta`` is shared across the batch.
+a leading batch axis.  ``transition`` and ``output`` accept ``theta`` of
+shape (n_theta,), shared across the batch, or (n_theta, B), one parameter
+vector per batch row (what a cost scan over a parameter grid passes).
+The Jacobian evaluators take a shared ``theta`` only.
 """
 from __future__ import annotations
 
@@ -63,12 +66,6 @@ class StateSpaceModel:
     output_jacobians: Callable
     init_state: Callable
     default_theta: np.ndarray
-
-    def jacobians(self, x, z, theta):
-        """All four Jacobians (A, B, C, F) evaluated at the same (x, z, theta)."""
-        A, B = self.transition_jacobians(x, z, theta)
-        C, F = self.output_jacobians(x, z, theta)
-        return A, B, C, F
 
     @property
     def n_transient(self) -> int:
@@ -430,10 +427,16 @@ def _lower_neural_net(fam: NeuralNetOE) -> StateSpaceModel:
         return w1, b1, w2, b2
 
     def _forward(x, z, th):
-        w1, b1, w2, b2 = unpack(th)
         r = np.concatenate([x, z.current_inputs], axis=1)
-        t = np.tanh(r @ w1.T + b1)
-        return r, t, t @ w2 + b2
+        if th.ndim == 1:
+            w1, b1, w2, b2 = unpack(th)
+            t = np.tanh(r @ w1.T + b1)
+            return r, t, t @ w2 + b2
+        # one weight set per batch row: th is (ntheta, B)
+        w1 = th[: h * n_in].T.reshape(-1, h, n_in)
+        b1, w2 = th[h * n_in : h * n_in + h].T, th[h * n_in + h : h * n_in + 2 * h].T
+        t = np.tanh(np.einsum("bhi,bi->bh", w1, r) + b1)
+        return r, t, np.einsum("bh,bh->b", t, w2) + th[-1]
 
     def transition(x, z, th):
         _, _, f = _forward(x, z, th)
@@ -509,7 +512,7 @@ def _lower_armax(fam: LinearARMAX) -> StateSpaceModel:
         a, bb, c = split(th)
         ylag = z.past_outputs[:, 1 : 1 + na]
         ulag = z.current_inputs[:, 2 : 2 + nb]
-        f = ylag @ a + ulag @ bb + x @ c
+        f = _apply_coeffs(ylag, a) + _apply_coeffs(ulag, bb) + _apply_coeffs(x, c)
         v_new = z.past_outputs[:, 0] - f
         return np.concatenate([v_new[:, None], x[:, : nc - 1]], axis=1)
 
@@ -517,7 +520,8 @@ def _lower_armax(fam: LinearARMAX) -> StateSpaceModel:
         a, bb, c = split(th)
         ylag = z.past_outputs[:, 0:na]
         ulag = z.current_inputs[:, 1 : 1 + nb]
-        return (ylag @ a + ulag @ bb + x @ c)[:, None]
+        return (_apply_coeffs(ylag, a) + _apply_coeffs(ulag, bb)
+                + _apply_coeffs(x, c))[:, None]
 
     def tjac(x, z, th):
         a, bb, c = split(th)

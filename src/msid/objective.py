@@ -24,8 +24,8 @@ from typing import Union
 import numpy as np
 
 from .dataset import Dataset
-from .models import StateSpaceModel, regressor_matrices
-from .simulate import run_intervals
+from .models import RegressorWindow, StateSpaceModel, regressor_matrices
+from .simulate import _STATE_LIMIT, run_intervals
 from .solver import ShootingJacobian
 
 
@@ -294,6 +294,43 @@ class EstimationProblem:
     def gradient(self, phi) -> np.ndarray:
         return self._grad_from_eval(self._evaluate(phi, with_sens=True))
 
+    def batch_costs(self, thetas, seeds) -> np.ndarray:
+        """Costs at thetas (G, n_theta) with the seed part of the decision
+        vector held fixed: entry i is ``cost(concatenate([thetas[i],
+        seeds]))``.  One pass over the record, one batch row per theta,
+        resetting at every interval start: work proportional to N whatever
+        the partition, and O(G N_x) memory."""
+        f = self.formulation
+        if isinstance(f, MsaPem):
+            raise TypeError("batch_costs needs a shooting formulation")
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        pt = self.split(np.concatenate([thetas[0], np.ravel(seeds)]))
+        starts, _, x0s = self._starts_lengths_seeds(pt)
+        model, y, n = self.model, self.dataset.y, self.dataset.n
+        discard = (model.n_transient
+                   if isinstance(f, SingleShooting) and not f.optimize_x0 else 0)
+        g = thetas.shape[0]
+        th = np.ascontiguousarray(thetas.T)
+        # zero-stride views: every row reads the same regressors and seeds
+        zy = np.broadcast_to(self._zy[:, None, :], (n, g, self._zy.shape[1]))
+        zu = np.broadcast_to(self._zu[:, None, :], (n, g, self._zu.shape[1]))
+        x0s = np.broadcast_to(x0s[:, None, :], (len(starts), g, model.state_dim))
+        resets = dict(zip(starts.tolist(), x0s))
+        acc = np.zeros(g)
+        peak = np.zeros((g, model.state_dim))
+        x = None
+        with np.errstate(invalid="ignore", over="ignore"):
+            for k in range(n):
+                x = resets.get(k, x)
+                z = RegressorWindow(zy[k], zu[k])
+                x = model.transition(x, z, th)
+                np.maximum(peak, np.abs(x), out=peak)   # NaN sticks
+                if k >= discard:
+                    acc += (y[k] - model.output(x, z, th)[:, 0]) ** 2
+        costs = acc / max(n - discard, 1)
+        costs[~(peak.max(axis=1, initial=0.0) <= _STATE_LIMIT)] = np.inf
+        return costs
+
     def cost_multiple(self, phi):
         """Returns (V^M, per-interval costs V_i)."""
         self._require(MultipleShooting)
@@ -368,36 +405,6 @@ class EstimationProblem:
     def _require(self, kind):
         if not isinstance(self.formulation, kind):
             raise TypeError(f"operation requires a {kind.__name__} formulation")
-
-
-def cost_sequential(problem: EstimationProblem, phi) -> float:
-    """Single-pass multiple-shooting cost evaluation.
-
-    Walks the record once, resetting the state at each interval
-    boundary, so the work is proportional to N regardless of how the
-    record is partitioned.  Used by the timing study; agrees with the
-    batched evaluation to rounding.
-    """
-    problem._require(MultipleShooting)
-    pt = problem.split(np.asarray(phi, dtype=float))
-    model, y = problem.model, problem.dataset.y
-    plan = problem.formulation.plan
-    zy, zu = problem._zy, problem._zu
-    resets = {int(m): i for i, m in enumerate(plan.starts)}
-    from .models import RegressorWindow
-    x = None
-    total = 0.0
-    n = problem.dataset.n
-    for k in range(1, n + 1):
-        if (k - 1) in resets:
-            x = pt.x0s[resets[k - 1]][None, :]
-        z = RegressorWindow(zy[k - 1 : k], zu[k - 1 : k])
-        x = model.transition(x, z, pt.theta)
-        if not np.all(np.isfinite(x)):
-            return np.inf
-        yhat = model.output(x, z, pt.theta)
-        total += float(np.sum((yhat[0] - y[k - 1]) ** 2))
-    return total / n
 
 
 def as_nlp(problem: EstimationProblem):

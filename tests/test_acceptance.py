@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 
 from msid import (EstimationProblem, MsaPem, MultipleShooting, ShootingPlan,
-                  SingleShooting, SolverOptions, as_nlp, cost_sequential,
+                  SingleShooting, SolverOptions, as_nlp,
                   gen_farina, gen_linear2nd, gen_logistic, gen_pendulum,
                   grid_scan, incremental_k_schedule, simulate, solve,
                   smoothness_report, timing_study, total_variation)
 from msid.experiments import (FARINA_TRUE, PENDULUM_TRUE, MonteCarloConfig,
                               audited_median, monte_carlo_study, study_options)
-from msid.models import (LinearARMAX, LogisticMap, NeuralNetOE, Pendulum,
-                         farina_polynomial, linear_arx, linear_oe_2nd,
-                         lower_to_state_space)
+from msid.models import (LogisticMap, NeuralNetOE, Pendulum, farina_polynomial,
+                         linear_oe_2nd, lower_to_state_space)
 
 import oracles
+from test_models import ALL_FAMILIES
 from test_solver import KKT_CASES
 
 CRITERION_LINES = []
@@ -29,17 +29,6 @@ def _report(num, ok, detail):
     CRITERION_LINES.append(line)
     print(line)
     assert ok, line
-
-
-ALL_FAMILIES = (
-    LogisticMap(),
-    Pendulum(),
-    linear_oe_2nd(),
-    farina_polynomial(),
-    linear_arx(2, 1, (0.5, -0.2, 2.0)),
-    NeuralNetOE(n_y=2, n_u=1, hidden=4),
-    LinearARMAX(n_a=2, n_b=1, n_c=1),
-)
 
 
 def _toy_dataset(model, n, rng):

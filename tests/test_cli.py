@@ -249,3 +249,65 @@ def test_theta_length_must_match_model(tmp_path, capsys):
     assert main(["validate", "--config", path]) == 3
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
     assert "model.theta" in capsys.readouterr().err
+
+
+def _grid_cfg(family="logistic", grid=None):
+    return {"command": "study", "seed": 0,
+            "model": {"family": family},
+            "dataset": {"generator": family, "n": 40},
+            "formulation": {"kind": "multiple", "max_len": 4},
+            "study": {"kind": "grid", "grid": grid or [[3.0, 3.9, 3]]}}
+
+
+def test_grid_needs_one_axis_per_parameter(tmp_path, capsys):
+    path = _write(tmp_path, _grid_cfg("pendulum", [[20, 50, 3]]))
+    assert main(["validate", "--config", path]) == 3
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "config.study.grid: expected 2 axes" in capsys.readouterr().err
+
+
+def test_grid_axis_bounds_must_be_numbers(tmp_path, capsys):
+    path = _write(tmp_path, _grid_cfg(grid=[["a", 3.9, 3]]))
+    assert main(["validate", "--config", path]) == 3
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "config.study.grid[0][0]" in capsys.readouterr().err
+
+
+def test_grid_needs_a_formulation(tmp_path, capsys):
+    cfg = _grid_cfg()
+    del cfg["formulation"]
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 3
+    assert "config.formulation: missing required field" in capsys.readouterr().err
+
+
+def test_grid_fixed_seed_count_checked_at_run(tmp_path, capsys):
+    # a max_len-4 plan over 40 samples has 10 seeds, not 2
+    cfg = _grid_cfg()
+    cfg["study"]["fixed_seeds"] = [0.5, 0.4]
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 0
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "config.study.fixed_seeds" in capsys.readouterr().err
+    cfg["study"]["fixed_seeds"] = [0.5] * 10
+    path = _write(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_timing_study_result_is_deterministic(tmp_path):
+    cfg = {"command": "study", "seed": 0,
+           "model": {"family": "logistic"},
+           "dataset": {"generator": "logistic", "n": 60},
+           "study": {"kind": "timing", "k_list": [1, 2, 3], "dm_list": [2, 4],
+                     "reps": 1}}
+    path = _write(tmp_path, cfg)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", path, "--out", str(out1)]) == 0
+    assert main(["run", "--config", path, "--out", str(out2)]) == 0
+    assert (out1 / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
+    timing = json.loads((out1 / "timing.json").read_text())
+    settings = [(r["kind"], r.get("K", r.get("max_len"))) for r in timing["records"]]
+    assert settings == [("msa", 1), ("msa", 2), ("msa", 3),
+                        ("multiple-shooting", 2), ("multiple-shooting", 4)]
+    assert all(r["time_per_eval"] > 0 for r in timing["records"])
+    assert set(timing["summaries"]) == {"msa_slope", "msa_r2", "ms_spread"}

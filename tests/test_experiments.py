@@ -3,14 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from msid import (EstimationProblem, ExperimentResult, MultipleShooting,
-                  ShootingPlan, SingleShooting, arx_fit, audited_median,
-                  gen_farina, gen_linear2nd, gen_logistic, gen_pendulum,
-                  grid_scan, linear_fit_r2, multi_start_study,
+from msid import (EstimationProblem, ExperimentResult, MsaPem,
+                  MultipleShooting, ShootingPlan, SingleShooting, arx_fit,
+                  audited_median, gen_farina, gen_linear2nd, gen_logistic,
+                  gen_pendulum, grid_scan, linear_fit_r2, multi_start_study,
                   total_variation)
-from msid.experiments import (LINEAR2ND_SETTINGS, _grid_costs_batched,
-                              held_gaussian, study_options)
-from msid.models import LogisticMap, lower_to_state_space
+from msid.experiments import LINEAR2ND_SETTINGS, held_gaussian, study_options
+from msid.models import (LinearARMAX, LogisticMap, NeuralNetOE,
+                         lower_to_state_space)
 
 import oracles
 
@@ -185,17 +185,27 @@ def _grid_problem(max_len):
                              MultipleShooting(ShootingPlan.from_max_len(40, max_len)))
 
 
-def test_batched_grid_matches_cell_by_cell_costs():
-    prob = _grid_problem(5)
-    thetas = np.linspace(2.8, 3.9, 9)[:, None]
-    seeds = prob.default_point(np.array([3.0]))[1:]
-    batched = _grid_costs_batched(prob, thetas, seeds)
-    for i, th in enumerate(thetas):
-        direct = prob.cost(np.concatenate([th, seeds]))
-        if np.isfinite(direct):
-            assert batched[i] == pytest.approx(direct, rel=1e-9)
-        else:
-            assert batched[i] == np.inf
+@pytest.mark.parametrize("family", [NeuralNetOE(n_y=2, n_u=1, hidden=3),
+                                    LinearARMAX(n_a=2, n_b=1, n_c=2)])
+@pytest.mark.parametrize("form", [SingleShooting(optimize_x0=True),
+                                  SingleShooting(optimize_x0=False),
+                                  MultipleShooting(ShootingPlan.from_max_len(50, 7)),
+                                  MsaPem(3)], ids=lambda f: type(f).__name__)
+def test_grid_scan_matches_cost(family, form):
+    model = lower_to_state_space(family)
+    prob = EstimationProblem(model, gen_farina(seed=1, n=50), form)
+    theta0 = model.default_theta + 0.1
+    # three values on the first axis and two on the last, the rest fixed
+    axes = [[v] for v in theta0]
+    axes[0] = theta0[0] + np.array([-0.3, 0.0, 0.4])
+    axes[-1] = theta0[-1] + np.array([0.0, 0.2])
+    seeds = prob.default_point(theta0)[model.theta_dim:]
+    grid = grid_scan(prob, axes, seeds)
+    assert grid.shape == (3,) + (1,) * (model.theta_dim - 2) + (2,)
+    for idx in np.ndindex(grid.shape):
+        theta = np.array([axes[j][i] for j, i in enumerate(idx)])
+        want = prob.cost(np.concatenate([theta, seeds]))
+        assert grid[idx] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_grid_scan_shape_and_orientation():

@@ -12,6 +12,17 @@ from msid.models import ModelStructureError
 
 import oracles
 
+# one instance of each model family, shared with the acceptance tests
+ALL_FAMILIES = (
+    LogisticMap(),
+    Pendulum(),
+    linear_oe_2nd(),
+    farina_polynomial(),
+    linear_arx(2, 1, (0.5, -0.2, 2.0)),
+    NeuralNetOE(n_y=2, n_u=1, hidden=4),
+    LinearARMAX(n_a=2, n_b=1, n_c=1),
+)
+
 
 def _window(zy, zu, k):
     return RegressorWindow(zy[k: k + 1], zu[k: k + 1])
@@ -89,18 +100,22 @@ def test_jacobians_match_finite_differences(family, rng):
 
 def test_batched_theta_broadcast_matches_scalar_calls(rng):
     # grid scans pass theta as (theta_dim, B); rows must match one-by-one calls
-    for family in (LogisticMap(), Pendulum(), linear_oe_2nd(), farina_polynomial()):
+    for family in ALL_FAMILIES:
         model = lower_to_state_space(family)
         g = 4
         ths = rng.normal(scale=0.5, size=(g, model.theta_dim)) + model.default_theta
         x = rng.normal(scale=0.3, size=(g, model.state_dim))
         z = RegressorWindow(rng.normal(size=(g, model.n_y)),
                             rng.normal(size=(g, model.n_u + 1)))
-        batched = model.transition(x, z, np.ascontiguousarray(ths.T))
-        for i in range(g):
-            zi = RegressorWindow(z.past_outputs[i: i + 1], z.current_inputs[i: i + 1])
-            single = model.transition(x[i: i + 1], zi, ths[i])
-            np.testing.assert_allclose(batched[i], single[0], rtol=1e-14)
+        th_rows = np.ascontiguousarray(ths.T)
+        for fn in (model.transition, model.output):
+            batched = fn(x, z, th_rows)
+            for i in range(g):
+                zi = RegressorWindow(z.past_outputs[i: i + 1],
+                                     z.current_inputs[i: i + 1])
+                single = fn(x[i: i + 1], zi, ths[i])
+                np.testing.assert_allclose(batched[i], single[0], rtol=1e-14,
+                                           err_msg=model.name)
 
 
 def test_regressor_matrices_layout():

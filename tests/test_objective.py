@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msid import (Dataset, EstimationProblem, MsaPem, MultipleShooting,
-                  ShootingPlan, SingleShooting, as_nlp, cost_sequential,
-                  gen_linear2nd, gen_logistic, gen_pendulum)
+                  ShootingPlan, SingleShooting, as_nlp, gen_linear2nd,
+                  gen_logistic, gen_pendulum)
 from msid.models import LogisticMap, Pendulum, linear_arx, linear_oe_2nd, \
     lower_to_state_space
 
 from msid.solver import JacobianSvd, ShootingKkt, lagrange_multipliers
 
 import oracles
+from test_models import ALL_FAMILIES
 
 
 def _logistic_problem(form, n=30):
@@ -229,15 +230,46 @@ def test_gn_hessian_vec_is_symmetric_psd(rng):
 
 
 # ---------------------------------------------------------------------------
-# Sequential evaluation and NLP adapter
+# Fixed-seed cost pass and NLP adapter
 # ---------------------------------------------------------------------------
 
-def test_cost_sequential_matches_batched():
-    plan = ShootingPlan.from_max_len(40, 8)
-    prob = _logistic_problem(MultipleShooting(plan), n=40)
-    phi = prob.default_point(np.array([3.45]))
-    v_batched, _ = prob.cost_multiple(phi)
-    assert cost_sequential(prob, phi) == pytest.approx(v_batched, rel=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batch_costs_match_cost(data):
+    family = data.draw(st.sampled_from(ALL_FAMILIES), label="family")
+    model = lower_to_state_space(family)
+    n = data.draw(st.integers(min_value=2, max_value=40), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    ds = Dataset(rng.normal(scale=0.5, size=n), rng.uniform(0.2, 0.8, size=n), {})
+    kind = data.draw(st.sampled_from(("single", "single-x0", "multiple")),
+                     label="formulation")
+    if kind == "multiple":
+        # random, usually unequal, interval boundaries
+        inner = data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1),
+                          label="boundaries")
+        bnd = (0, *sorted(inner), n)
+        form = MultipleShooting(ShootingPlan(bnd, int(np.diff(bnd).max())))
+    else:
+        form = SingleShooting(optimize_x0=kind == "single-x0")
+    prob = EstimationProblem(model, ds, form)
+    if isinstance(family, LogisticMap):
+        # values past 4 leave [0, 1] and diverge
+        values = st.sampled_from((3.3, 3.78, 4.0, 4.8)) | st.floats(2.5, 5.0)
+        thetas = np.array(data.draw(st.lists(values, min_size=1, max_size=6),
+                                    label="thetas"))[:, None]
+    else:
+        scale = data.draw(st.sampled_from((0.05, 0.5, 2.0)), label="scale")
+        g = data.draw(st.integers(1, 6), label="g")
+        thetas = model.default_theta + rng.normal(scale=scale,
+                                                  size=(g, model.theta_dim))
+    seeds = prob.default_point(thetas[0])[model.theta_dim:]
+    seeds = seeds + rng.normal(scale=0.05, size=seeds.size)
+    got = prob.batch_costs(thetas, seeds)
+    for i, theta in enumerate(thetas):
+        want = prob.cost(np.concatenate([theta, seeds]))
+        assert np.isinf(got[i]) == np.isinf(want), (i, got[i], want)
+        if np.isfinite(want):
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_as_nlp_dimensions():
