@@ -208,6 +208,19 @@ def test_grid_scan_matches_cost(family, form):
         assert grid[idx] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_batched_grid_matches_cell_by_cell_costs():
+    prob = _grid_problem(5)
+    thetas = np.linspace(2.8, 3.9, 9)[:, None]
+    seeds = prob.default_point(np.array([3.0]))[1:]
+    batched = prob.batch_costs(thetas, seeds)
+    for i, th in enumerate(thetas):
+        direct = prob.cost(np.concatenate([th, seeds]))
+        if np.isfinite(direct):
+            assert batched[i] == pytest.approx(direct, rel=1e-9)
+        else:
+            assert batched[i] == np.inf
+
+
 def test_grid_scan_shape_and_orientation():
     prob = _grid_problem(5)
     grid = grid_scan(prob, [np.linspace(3.0, 3.9, 7)])

@@ -272,6 +272,17 @@ def test_batch_costs_match_cost(data):
             assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_cost_sequential_matches_batched():
+    # the fixed-seed pass agrees with the batched multiple-shooting cost
+    plan = ShootingPlan.from_max_len(40, 8)
+    prob = _logistic_problem(MultipleShooting(plan), n=40)
+    phi = prob.default_point(np.array([3.45]))
+    v_batched, _ = prob.cost_multiple(phi)
+    got = prob.batch_costs(phi[None, :1], phi[1:])
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(v_batched, rel=1e-12)
+
+
 def test_as_nlp_dimensions():
     plan = ShootingPlan.from_max_len(20, 5)
     prob = _logistic_problem(MultipleShooting(plan), n=20)
