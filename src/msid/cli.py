@@ -137,7 +137,7 @@ def _theta_dim(family: str) -> int:
 
 
 def _validate_model(obj):
-    _require_keys(obj, "config.model", ("family",), ("theta", "hidden"))
+    _require_keys(obj, "config.model", ("family",), ("theta",))
     _check(obj["family"] in MODEL_FAMILIES, "config.model.family",
            f"must be one of {', '.join(MODEL_FAMILIES)}")
     if "theta" in obj:

@@ -13,10 +13,12 @@ noiseless outputs) and ARMAX (state = past noise estimates).
 
 All model callables are batched: ``x`` has shape (B, N_x), the regressor
 fields have shape (B, n_y) and (B, n_u + 1), and Jacobians come back with
-a leading batch axis.  ``transition`` and ``output`` accept ``theta`` of
-shape (n_theta,), shared across the batch, or (n_theta, B), one parameter
-vector per batch row (what a cost scan over a parameter grid passes).
-The Jacobian evaluators take a shared ``theta`` only.
+a leading batch axis.  A row's value does not depend on the batch size:
+products use ``einsum``, as BLAS ``@`` rounds a row by the batch's shape.
+``transition`` and ``output`` accept ``theta`` of shape (n_theta,), shared
+across the batch, or (n_theta, B), one parameter vector per batch row
+(what a cost scan over a parameter grid passes).  The Jacobian evaluators
+take a shared ``theta`` only.
 """
 from __future__ import annotations
 
@@ -228,9 +230,10 @@ def _lower_pendulum(fam: Pendulum) -> StateSpaceModel:
         a, ka = th[0], th[1]
         x1, x2 = x[:, 0], x[:, 1]
         u1 = z.current_inputs[:, 1]
-        nx1 = x1 + d * x2
-        nx2 = -d * a * np.sin(x1) + (1.0 - d * ka / mm) * x2 + (d / mm) * u1
-        return np.stack([nx1, nx2], axis=1)
+        out = np.empty((x.shape[0], 2))
+        out[:, 0] = x1 + d * x2
+        out[:, 1] = -d * a * np.sin(x1) + (1.0 - d * ka / mm) * x2 + (d / mm) * u1
+        return out
 
     def output(x, z, th):
         return x[:, :1].copy()
@@ -278,9 +281,7 @@ def _apply_coeffs(vals, th):
     """Term values (B, T) times coefficients; th may carry one coefficient
     vector per batch row as a (T, B) array."""
     th = np.asarray(th)
-    if th.ndim == 1:
-        return vals @ th
-    return np.einsum("bt,tb->b", vals, th)
+    return np.einsum("bt,t->b" if th.ndim == 1 else "bt,tb->b", vals, th)
 
 
 def _check_terms(terms):
@@ -430,8 +431,8 @@ def _lower_neural_net(fam: NeuralNetOE) -> StateSpaceModel:
         r = np.concatenate([x, z.current_inputs], axis=1)
         if th.ndim == 1:
             w1, b1, w2, b2 = unpack(th)
-            t = np.tanh(r @ w1.T + b1)
-            return r, t, t @ w2 + b2
+            t = np.tanh(np.einsum("bi,hi->bh", r, w1) + b1)
+            return r, t, np.einsum("bh,h->b", t, w2) + b2
         # one weight set per batch row: th is (ntheta, B)
         w1 = th[: h * n_in].T.reshape(-1, h, n_in)
         b1, w2 = th[h * n_in : h * n_in + h].T, th[h * n_in + h : h * n_in + 2 * h].T
@@ -451,7 +452,7 @@ def _lower_neural_net(fam: NeuralNetOE) -> StateSpaceModel:
         b = x.shape[0]
         sech2 = 1.0 - t * t                       # (b, h)
         wrow = w2 * sech2                         # (b, h)
-        dfdr = wrow @ w1                          # (b, n_in)
+        dfdr = np.einsum("bh,hi->bi", wrow, w1)   # (b, n_in)
         A = np.zeros((b, p, p))
         A[:, 0, :] = dfdr[:, :p]
         for i in range(1, p):

@@ -2,14 +2,20 @@
 
 The core routine steps many independent intervals in lockstep (one batch
 row per interval), which is what makes multiple-shooting and
-multi-step-ahead cost evaluations cheap.  The per-step recursion for the
-sensitivities is
+multi-step-ahead cost evaluations cheap.  It runs in two phases: a
+per-step loop that applies only the state update x[k] = h(x[k-1], z[k]),
+then one vectorized pass over all steps for the outputs, the Jacobians,
+divergence and the sensitivity recursion
 
     D[k] = A_k D[k-1] + [B_k | 0],      D[start] = [0 | I]
     J[k] = C_k D[k]   + [F_k | 0]
 
 with columns ordered (theta, x0); A_k, B_k are evaluated at the state
-entering step k and C_k, F_k at the state leaving it.
+entering step k and C_k, F_k at the state leaving it.  An interval
+diverges at its first in-length step whose state exceeds ``_STATE_LIMIT``
+or is NaN; from there on, and past its length, its states and state
+sensitivities hold their last good values, its predictions and output
+sensitivities are zero, and its end values are x0 and [0 | I].
 """
 from __future__ import annotations
 
@@ -80,89 +86,96 @@ def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
     nx, nth, nout = model.state_dim, model.theta_dim, model.output_dim
     nc = nth + nx
     t_max = int(lengths.max()) if lengths.size else 0
+    d0 = np.tile(np.eye(nx, nc, nth), (b, 1, 1)) if with_sens else None   # [0 | I]
+    if t_max == 0:
+        return BatchRollout(
+            starts, lengths, np.zeros((b, 0, nx)), np.zeros((b, 0, nout)),
+            np.zeros((b, 0, nout, nc)) if with_sens else None,
+            np.zeros((b, 0, nx, nc)) if (with_sens and store_state_sens) else None,
+            x0.copy(), d0, np.zeros((b, 0), dtype=bool),
+            np.zeros(b, dtype=bool), np.full(b, -1))
 
-    states = np.zeros((b, t_max, nx))
-    preds = np.zeros((b, t_max, nout))
-    jout = np.zeros((b, t_max, nout, nc)) if with_sens else None
-    dout = np.zeros((b, t_max, nx, nc)) if (with_sens and store_state_sens) else None
-    diverged = np.zeros(b, dtype=bool)
-    div_step = np.full(b, -1, dtype=int)
-
-    x = x0.copy()
-    end_states = x0.copy()
-    if with_sens:
-        d = np.zeros((b, nx, nc))
-        d[:, :, nth:] = np.eye(nx)[None, :, :]
-        end_d = d.copy()
-    else:
-        d = end_d = None
-
-    # rows of (zy, zu) read by every interval at every step, precomputed
-    row_table = np.clip(starts[None, :] + np.arange(t_max)[:, None],
-                        0, max(zy.shape[0] - 1, 0))
-    uniform = bool((lengths == t_max).all()) if lengths.size else True
-    clean = True          # no interval has diverged yet
-
+    # everything below is time-major, (T, B, ...); rows of (zy, zu) read by
+    # every interval at every step are gathered once
+    row_table = np.clip(starts + np.arange(t_max)[:, None], 0, max(zy.shape[0] - 1, 0))
+    zyt, zut = zy[row_table], zu[row_table]
+    xs = np.empty((t_max + 1, b, nx))
+    xs[0] = x0
     with np.errstate(invalid="ignore", over="ignore"):
-        for t in range(1, t_max + 1):
-            rows = row_table[t - 1]
-            z = RegressorWindow(zy[rows], zu[rows])
-            x_prev = x
-            x_new = model.transition(x_prev, z, theta)
-            bad = ~(np.abs(x_new).max(axis=1, initial=0.0) <= _STATE_LIMIT)
-            active = None
-            if not (uniform and clean):
-                active = (t <= lengths) & ~diverged
-            if bad.any():
-                newly = bad if active is None else (active & bad)
-                if newly.any():
-                    diverged |= newly
-                    div_step[newly] = t
-                    clean = False
-                    active = (t <= lengths) & ~diverged
-            if active is None:
-                x = x_new
-            else:
-                x = np.where(active[:, None], x_new, x_prev)
-            if with_sens:
-                a_mat, b_mat = model.transition_jacobians(x_prev, z, theta)
-                d_new = a_mat @ d
-                d_new[:, :, :nth] += b_mat
-                d = d_new if active is None else np.where(
-                    active[:, None, None], d_new, d)
-                if store_state_sens:
-                    dout[:, t - 1] = d
-            yhat = model.output(x, z, theta)
-            states[:, t - 1, :] = x
-            preds[:, t - 1, :] = yhat if active is None else np.where(
-                active[:, None], yhat, 0.0)
-            if with_sens:
-                c_mat, f_mat = model.output_jacobians(x, z, theta)
-                j = c_mat @ d
-                j[:, :, :nth] += f_mat
-                if active is not None:
-                    j = np.where(active[:, None, None], j, 0.0)
-                jout[:, t - 1] = j
-            if t == t_max and uniform and clean:
-                end_states = x.copy()
-                if with_sens:
-                    end_d = d.copy()
-            else:
-                done = (t == lengths) & ~diverged
-                if done.any():
-                    end_states[done] = x[done]
-                    if with_sens:
-                        end_d[done] = d[done]
+        # phase 1: the state update alone
+        for t in range(t_max):
+            xs[t + 1] = model.transition(xs[t], RegressorWindow(zyt[t], zut[t]), theta)
 
-    if t_max:
-        step_idx = np.arange(1, t_max + 1)[None, :]
-        valid = step_idx <= lengths[:, None]
-        valid &= ~(diverged[:, None] & (step_idx >= np.where(div_step < 0, t_max + 1, div_step)[:, None]))
+        # phase 2: once over all T*B rows
+        rows = t_max * b
+        z = RegressorWindow(zyt.reshape(rows, zy.shape[1]), zut.reshape(rows, zu.shape[1]))
+        x_out = xs[1:].reshape(rows, nx)
+        preds = model.output(x_out, z, theta).reshape(t_max, b, nout)
+        jout = dmat = None
+        if with_sens:
+            a_mat, b_mat = model.transition_jacobians(xs[:-1].reshape(rows, nx), z, theta)
+            a_mat = a_mat.reshape(t_max, b, nx, nx)
+            b_mat = b_mat.reshape(t_max, b, nx, nth)
+            dmat = np.empty((t_max + 1, b, nx, nc))
+            dmat[0] = d0
+            for t in range(t_max):
+                np.matmul(a_mat[t], dmat[t], out=dmat[t + 1])
+                dmat[t + 1, :, :, :nth] += b_mat[t]
+            c_mat, f_mat = model.output_jacobians(x_out, z, theta)
+            jout = c_mat @ dmat[1:].reshape(rows, nx, nc)
+            jout[:, :, :nth] += f_mat
+            jout = jout.reshape(t_max, b, nout, nc)
+        bad = ~(np.abs(xs[1:]).max(axis=2, initial=0.0) <= _STATE_LIMIT)
+
+    steps = np.arange(1, t_max + 1)[:, None]
+    bad &= steps <= lengths             # only in-length steps can diverge
+    states = xs[1:]
+    state_sens = dmat[1:] if (with_sens and store_state_sens) else None
+    if not bad.any() and (lengths == t_max).all():
+        # no interval diverged or ended early: nothing to hold or zero
+        diverged = np.zeros(b, dtype=bool)
+        div_step = np.full(b, -1)
+        valid = np.ones((b, t_max), dtype=bool)
+        end_states = xs[t_max].copy()
+        end_sens = dmat[t_max].copy() if with_sens else None
     else:
-        valid = np.zeros((b, 0), dtype=bool)
+        diverged = bad.any(axis=0)
+        div_step = np.where(diverged, bad.argmax(axis=0) + 1, -1)
+        # index into xs of each interval's last good state
+        last = np.where(diverged, div_step - 1, lengths)
+        held = np.minimum(steps, last)
+        cols = np.arange(b)
+        states = xs[held, cols]
+        valid_t = steps <= last
+        valid = np.ascontiguousarray(valid_t.T)
+        preds = np.where(valid_t[:, :, None], preds, 0.0)
+        end_states = np.where(diverged[:, None], x0, xs[lengths, cols])
+        end_sens = None
+        if with_sens:
+            jout = np.where(valid_t[:, :, None, None], jout, 0.0)
+            end_sens = np.where(diverged[:, None, None], d0, dmat[lengths, cols])
+            if store_state_sens:
+                state_sens = dmat[held, cols]
 
-    return BatchRollout(starts, lengths, states, preds, jout, dout, end_states,
-                        end_d, valid, diverged, div_step)
+    def batch_major(arr):
+        # C-contiguous, so callers' sums over B and T keep a batch-major order
+        return None if arr is None else np.ascontiguousarray(arr.swapaxes(0, 1))
+
+    return BatchRollout(starts, lengths, batch_major(states), batch_major(preds),
+                        batch_major(jout), batch_major(state_sens), end_states,
+                        end_sens, valid, diverged, div_step)
+
+
+def _one_interval(model, x0, dataset, start, end, theta, with_sens):
+    if end < start:
+        raise ValueError("end must be >= start")
+    zy, zu = regressor_matrices(model, dataset)
+    roll = run_intervals(model, theta, np.asarray(x0, float)[None, :], zy, zu,
+                         np.array([start]), np.array([end - start]),
+                         with_sens=with_sens, store_state_sens=with_sens)
+    if roll.diverged[0]:
+        raise DivergenceError(int(roll.divergence_step[0]))
+    return roll
 
 
 def simulate(model: StateSpaceModel, x0, dataset, start: int, end: int, theta):
@@ -170,26 +183,13 @@ def simulate(model: StateSpaceModel, x0, dataset, start: int, end: int, theta):
 
     Returns (states, predictions) for times start+1..end.
     """
-    if end < start:
-        raise ValueError("end must be >= start")
-    zy, zu = regressor_matrices(model, dataset)
-    roll = run_intervals(model, theta, np.asarray(x0, float)[None, :], zy, zu,
-                         np.array([start]), np.array([end - start]), with_sens=False)
-    if roll.diverged[0]:
-        raise DivergenceError(int(roll.divergence_step[0]))
+    roll = _one_interval(model, x0, dataset, start, end, theta, False)
     return roll.states[0], roll.predictions[0]
 
 
 def simulate_with_sensitivities(model: StateSpaceModel, x0, dataset, start: int,
                                 end: int, theta) -> SensitivityTrace:
     """Simulate one interval propagating D[k] and J[k] alongside."""
-    if end < start:
-        raise ValueError("end must be >= start")
-    zy, zu = regressor_matrices(model, dataset)
-    roll = run_intervals(model, theta, np.asarray(x0, float)[None, :], zy, zu,
-                         np.array([start]), np.array([end - start]),
-                         with_sens=True, store_state_sens=True)
-    if roll.diverged[0]:
-        raise DivergenceError(int(roll.divergence_step[0]))
+    roll = _one_interval(model, x0, dataset, start, end, theta, True)
     return SensitivityTrace(start, end, roll.states[0], roll.predictions[0],
                             roll.state_sens[0], roll.output_sens[0])

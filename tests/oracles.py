@@ -1,7 +1,12 @@
 """Independent reference implementations used to cross-check the
 package.  Everything here is written directly from the mathematical
 definitions, with no reuse of package internals."""
+from collections import namedtuple
+
 import numpy as np
+
+# the lagged data a model callable reads at one step, by field name
+Window = namedtuple("Window", "past_outputs current_inputs")
 
 
 def fd_gradient(fun, x, h=1e-6):
@@ -78,3 +83,33 @@ def pem_cost_direct(model_step, theta, x0, y, out_fn):
         x = model_step(x, k, theta)
         sq.append((y[k] - out_fn(x, k, theta)) ** 2)
     return float(np.mean(sq))
+
+
+def rollout_interval(model, theta, x0, zy, zu, start, length, limit):
+    """One interval stepped one row and one step at a time, stopping at the
+    first state above ``limit`` in absolute value (or NaN).
+
+    Returns (states, predictions, state_sens, output_sens, diverged_at),
+    the first four holding the steps before the divergence and
+    diverged_at the 1-based step that diverged, or -1.  Sensitivity
+    columns are ordered (theta, x0) and start from [0 | I].
+    """
+    nx, nth = model.state_dim, model.theta_dim
+    x = np.asarray(x0, float)[None, :]
+    d = np.concatenate([np.zeros((nx, nth)), np.eye(nx)], axis=1)
+    states, preds, dsens, jsens = [], [], [], []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t in range(1, length + 1):
+            r = min(start + t - 1, len(zy) - 1)
+            z = Window(zy[r: r + 1], zu[r: r + 1])
+            a, b = model.transition_jacobians(x, z, theta)
+            x = model.transition(x, z, theta)
+            if not np.all(np.abs(x) <= limit):
+                return states, preds, dsens, jsens, t
+            d = np.matmul(a[0], d) + np.concatenate([b[0], np.zeros((nx, nx))], axis=1)
+            c, f = model.output_jacobians(x, z, theta)
+            states.append(x[0])
+            preds.append(model.output(x, z, theta)[0])
+            dsens.append(d)
+            jsens.append(np.matmul(c[0], d) + np.concatenate([f[0], np.zeros((len(f[0]), nx))], axis=1))
+    return states, preds, dsens, jsens, -1

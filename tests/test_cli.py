@@ -251,6 +251,13 @@ def test_theta_length_must_match_model(tmp_path, capsys):
     assert "model.theta" in capsys.readouterr().err
 
 
+def test_unused_model_key_rejected(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "logistic_estimate_ms2.json").read_text())
+    cfg["model"]["hidden"] = 7
+    assert main(["validate", "--config", _write(tmp_path, cfg)]) == 3
+    assert "config.model" in capsys.readouterr().err
+
+
 def _grid_cfg(family="logistic", grid=None):
     return {"command": "study", "seed": 0,
             "model": {"family": family},

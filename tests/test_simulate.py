@@ -7,8 +7,10 @@ from msid import (Dataset, DivergenceError, gen_logistic, run_intervals,
                   simulate, simulate_with_sensitivities)
 from msid.models import LogisticMap, Pendulum, linear_oe_2nd, lower_to_state_space
 from msid.models import regressor_matrices
+from msid.simulate import _STATE_LIMIT
 
 import oracles
+from test_models import ALL_FAMILIES
 
 
 def test_logistic_rollout_matches_hand_iteration(logistic_model):
@@ -118,3 +120,69 @@ def test_chained_intervals_equal_one_rollout(theta, split):
     s1, p1 = simulate(model, np.array([0.5]), ds, 0, split, np.array([theta]))
     s2, p2 = simulate(model, s1[-1], ds, split, 15, np.array([theta]))
     np.testing.assert_allclose(np.concatenate([p1, p2]), full_preds, rtol=1e-12)
+
+
+def _padded(rows, held, t_max, shape):
+    """Oracle per-step values padded to t_max steps; ``held`` fills the
+    steps after the last one (None fills zeros)."""
+    out = np.zeros((t_max,) + shape)
+    if rows:
+        out[:len(rows)] = rows
+    if held is not None:
+        out[len(rows):] = held
+    return out
+
+
+def _assert_same(actual, expected, name):
+    assert actual.shape == expected.shape, name
+    assert np.array_equal(actual, expected, equal_nan=True), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(ALL_FAMILIES),
+       seed=st.integers(min_value=0, max_value=2**31 - 1),
+       lengths=st.lists(st.integers(min_value=0, max_value=8), min_size=1,
+                        max_size=4),
+       theta_gain=st.sampled_from([1.0, 1e3, 1e40, np.inf]),
+       x0_scale=st.sampled_from([0.3, 1e60, 1e160]),
+       with_sens=st.booleans())
+def test_run_intervals_matches_per_interval_reference(family, seed, lengths,
+                                                      theta_gain, x0_scale,
+                                                      with_sens):
+    model = lower_to_state_space(family)
+    rng = np.random.default_rng(seed)
+    n = 12
+    ds = Dataset(rng.normal(size=n), rng.normal(size=n), {})
+    zy, zu = regressor_matrices(model, ds)
+    lengths = np.array(lengths)
+    b, nx, nc = len(lengths), model.state_dim, model.theta_dim + model.state_dim
+    starts = rng.integers(0, n, size=b)
+    theta = (model.default_theta + 0.5 * rng.normal(size=model.theta_dim)) * theta_gain
+    x0 = rng.normal(size=(b, nx)) * x0_scale
+    roll = run_intervals(model, theta, x0, zy, zu, starts, lengths,
+                         with_sens=with_sens, store_state_sens=with_sens)
+    t_max = int(lengths.max())
+    eye = np.concatenate([np.zeros((nx, model.theta_dim)), np.eye(nx)], axis=1)
+    for i in range(b):
+        states, preds, dsens, jsens, div = oracles.rollout_interval(
+            model, theta, x0[i], zy, zu, starts[i], lengths[i], _STATE_LIMIT)
+        good = len(states)
+        assert roll.diverged[i] == (div > 0)
+        assert roll.divergence_step[i] == div
+        np.testing.assert_array_equal(roll.valid[i], np.arange(t_max) < good)
+        last_x = states[-1] if good else x0[i]
+        _assert_same(roll.states[i], _padded(states, last_x, t_max, (nx,)), "states")
+        _assert_same(roll.predictions[i],
+                     _padded(preds, None, t_max, (model.output_dim,)), "predictions")
+        _assert_same(roll.end_states[i], x0[i] if div > 0 else last_x, "end_states")
+        if not with_sens:
+            assert roll.output_sens is None and roll.end_state_sens is None
+            continue
+        last_d = dsens[-1] if good else eye
+        _assert_same(roll.state_sens[i], _padded(dsens, last_d, t_max, (nx, nc)),
+                     "state_sens")
+        _assert_same(roll.end_state_sens[i], eye if div > 0 else last_d,
+                     "end_state_sens")
+        np.testing.assert_allclose(
+            roll.output_sens[i], _padded(jsens, None, t_max, (model.output_dim, nc)),
+            rtol=1e-12, atol=0, err_msg="output_sens")
