@@ -86,15 +86,12 @@ def validate_config(cfg: dict) -> dict:
     """Validate a raw config dict; returns it unchanged on success."""
     _require_keys(cfg, "config", ("command",),
                   ("model", "dataset", "formulation", "solver", "seed", "out",
-                   "study", "smoothness", "profile"))
+                   "study", "smoothness"))
     command = cfg["command"]
     _check(command in COMMANDS, "config.command",
            f"must be one of {', '.join(COMMANDS)}")
     if "seed" in cfg:
         _num(cfg["seed"], "config.seed", int, min_value=0)
-    if "profile" in cfg:
-        _check(cfg["profile"] in ("desk", "paper"), "config.profile",
-               "must be 'desk' or 'paper'")
     if "model" in cfg:
         _validate_model(cfg["model"])
     if "dataset" in cfg:
@@ -112,6 +109,11 @@ def validate_config(cfg: dict) -> dict:
         for key in ("model", "dataset", "smoothness"):
             _check(key in cfg, f"config.{key}", "missing required field")
         _validate_smoothness(cfg["smoothness"])
+        family = cfg["model"]["family"]
+        dim = _theta_dim(family)
+        _check(len(cfg["smoothness"]["param_box"]) == dim,
+               "config.smoothness.param_box",
+               f"expected {dim} [lo, hi] pairs for family {family!r}")
     if command == "study":
         _check("study" in cfg, "config.study", "missing required field")
         _validate_study(cfg["study"])
@@ -220,8 +222,9 @@ def _validate_solver(obj):
 def _validate_smoothness(obj):
     _require_keys(obj, "config.smoothness", ("lengths", "param_box"),
                   ("pair_samples", "contraction_samples"))
-    _check(isinstance(obj["lengths"], list) and obj["lengths"],
-           "config.smoothness.lengths", "expected a non-empty list")
+    # the growth regime is fitted to the estimates at three or more lengths
+    _check(isinstance(obj["lengths"], list) and len(obj["lengths"]) >= 3,
+           "config.smoothness.lengths", "expected a list of at least 3 lengths")
     for i, n in enumerate(obj["lengths"]):
         _num(n, f"config.smoothness.lengths[{i}]", int, min_value=1)
     box = obj["param_box"]
@@ -236,6 +239,9 @@ def _validate_smoothness(obj):
     if "pair_samples" in obj:
         _num(obj["pair_samples"], "config.smoothness.pair_samples", int,
              min_value=2)
+    if "contraction_samples" in obj:
+        _num(obj["contraction_samples"], "config.smoothness.contraction_samples",
+             int, min_value=1)
 
 
 def _validate_study(obj):
@@ -334,6 +340,13 @@ def build_formulation(obj: dict, n: int):
     return MsaPem(obj["horizon"])
 
 
+def build_problem(cfg: dict, seed: int) -> EstimationProblem:
+    """The estimation problem of a config: model, record and formulation."""
+    model = lower_to_state_space(build_model_family(cfg["model"]))
+    ds = build_dataset(cfg["dataset"], seed)
+    return EstimationProblem(model, ds, build_formulation(cfg["formulation"], ds.n))
+
+
 def build_solver_options(obj: dict | None, trace: bool) -> SolverOptions:
     kwargs = dict(obj or {})
     if trace:
@@ -356,11 +369,19 @@ def _strip_timing(obj):
     return obj
 
 
+def _jsonify(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    raise TypeError(f"not JSON-serializable: {type(obj)}")
+
+
 def write_json(path: str, payload: dict, deterministic: bool = True):
     if deterministic:
         payload = _strip_timing(payload)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=xp._jsonify)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonify)
         fh.write("\n")
 
 
@@ -379,7 +400,7 @@ def write_manifest(out_dir: str, cfg_text: str, cfg: dict, seed: int):
 def write_trace(path: str, trace: list):
     with open(path, "w") as fh:
         for rec in trace:
-            fh.write(json.dumps(rec, sort_keys=True, default=xp._jsonify))
+            fh.write(json.dumps(rec, sort_keys=True, default=_jsonify))
             fh.write("\n")
 
 
@@ -404,14 +425,13 @@ def cmd_simulate(cfg, seed, out_dir, trace):
 
 
 def cmd_estimate(cfg, seed, out_dir, trace):
-    family = build_model_family(cfg["model"])
-    model = lower_to_state_space(family)
-    ds = build_dataset(cfg["dataset"], seed)
+    problem = build_problem(cfg, seed)
+    model = problem.model
     opts = build_solver_options(cfg.get("solver"), trace)
     form_cfg = cfg["formulation"]
     if form_cfg["kind"] == "msa" and form_cfg.get("incremental"):
         theta0 = np.asarray(cfg["model"].get("theta", model.default_theta), float)
-        schedule = incremental_k_schedule(model, ds, theta0,
+        schedule = incremental_k_schedule(model, problem.dataset, theta0,
                                           form_cfg["horizon"], opts)
         payload = {"schedule": [{"horizon": k, **_result_payload(r)}
                                 for k, r in schedule],
@@ -419,8 +439,6 @@ def cmd_estimate(cfg, seed, out_dir, trace):
         write_json(os.path.join(out_dir, "result.json"), payload)
         return EXIT_OK if all(r.status not in FAILED_STATUSES
                               for _, r in schedule) else EXIT_SOLVER
-    form = build_formulation(form_cfg, ds.n)
-    problem = EstimationProblem(model, ds, form)
     theta0 = cfg["model"].get("theta")
     phi0 = problem.default_point(None if theta0 is None
                                  else np.asarray(theta0, float))
@@ -439,19 +457,14 @@ def cmd_estimate(cfg, seed, out_dir, trace):
 
 
 def cmd_smoothness(cfg, seed, out_dir, trace):
-    family = build_model_family(cfg["model"])
-    model = lower_to_state_space(family)
     sm = cfg["smoothness"]
     lengths = [int(n) for n in sm["lengths"]]
-    box = [tuple(map(float, pair)) for pair in sm["param_box"]]
-    base = dict(cfg["dataset"])
-
-    def make_problem(n):
-        ds = build_dataset({**base, "n": n}, seed)
-        form = build_formulation(cfg.get("formulation", {"kind": "single"}), n)
-        return EstimationProblem(model, ds, form)
-
-    problems = {n: make_problem(n) for n in lengths}
+    # param_box lists [lo, hi] per parameter; the estimators take (lo, hi) vectors
+    box = tuple(np.array(b, float) for b in zip(*sm["param_box"]))
+    cfg = {"formulation": {"kind": "single"}, **cfg}
+    problems = {n: build_problem({**cfg, "dataset": {**cfg["dataset"], "n": n}},
+                                 seed) for n in lengths}
+    model = problems[lengths[0]].model
 
     def cost_builder(n):
         prob = problems[n]
@@ -475,11 +488,10 @@ def cmd_smoothness(cfg, seed, out_dir, trace):
 
         return hv
 
-    ds_full = build_dataset({**base, "n": max(lengths)}, seed)
-    theta_mid = np.array([0.5 * (lo + hi) for lo, hi in box])
+    ds_full = problems[max(lengths)].dataset
     y_lo, y_hi = float(ds_full.y.min()), float(ds_full.y.max())
     contraction = estimate_contraction(
-        model, theta_mid, [(y_lo, y_hi)] * model.state_dim,
+        model, 0.5 * (box[0] + box[1]), (y_lo, y_hi),
         samples=int(sm.get("contraction_samples", 2000)), seed=seed,
         output_box=(y_lo, y_hi),
         input_box=(float(ds_full.u.min()), float(ds_full.u.max())))
@@ -496,35 +508,25 @@ def cmd_smoothness(cfg, seed, out_dir, trace):
 def cmd_study(cfg, seed, out_dir, trace):
     study = cfg["study"]
     kind = study["kind"]
-    profile = cfg.get("profile", "desk")
     opts = build_solver_options(cfg.get("solver"), False)
     if kind == "multi-start":
-        family = build_model_family(cfg["model"])
-        model = lower_to_state_space(family)
-        ds = build_dataset(cfg["dataset"], seed)
-        form = build_formulation(cfg["formulation"], ds.n)
-        problem = EstimationProblem(model, ds, form)
+        problem = build_problem(cfg, seed)
         result = xp.multi_start_study(problem, study["guesses"], opts,
                                       target=study.get("target"),
                                       tol=study.get("tol", 1e-3))
     elif kind == "monte-carlo":
-        default_runs = 20 if profile == "desk" else 100
         mc = xp.MonteCarloConfig(
             generator=study.get("generator", "linear2nd"),
             setting=study.get("setting", "c"),
-            n_realizations=int(study.get("n_realizations", default_runs)),
+            n_realizations=int(study.get("n_realizations", 20)),
             methods=tuple(study.get("methods", ("arx", "oe-ss"))),
             seed=seed, noise_std=study.get("noise_std"), solver=opts)
         result = xp.monte_carlo_study(mc)
     elif kind == "grid":
-        family = build_model_family(cfg["model"])
-        model = lower_to_state_space(family)
-        ds = build_dataset(cfg["dataset"], seed)
-        form = build_formulation(cfg["formulation"], ds.n)
-        problem = EstimationProblem(model, ds, form)
+        problem = build_problem(cfg, seed)
         axes = [np.linspace(lo, hi, int(count)) for lo, hi, count in study["grid"]]
         seeds = study.get("fixed_seeds")
-        want = problem.n_seeds * model.state_dim    # depends on the record
+        want = problem.n_seeds * problem.model.state_dim    # depends on the record
         _check(seeds is None or len(seeds) == want, "config.study.fixed_seeds",
                f"expected {want} numbers for this problem")
         grid = xp.grid_scan(problem, axes, seeds)
@@ -593,8 +595,6 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
             p.add_argument("--out", default=None, help="output directory")
-            p.add_argument("--profile", choices=("desk", "paper"),
-                           default=None, help="experiment scale")
             p.add_argument("--trace", action="store_true",
                            help="write per-iteration solver records")
     return parser
@@ -615,8 +615,6 @@ def main(argv=None) -> int:
         return EXIT_OK
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.profile is not None:
-        cfg["profile"] = args.profile
     seed = int(cfg.get("seed", 0))
     out_dir = args.out or cfg.get("out", "msid-out")
     os.makedirs(out_dir, exist_ok=True)

@@ -10,9 +10,8 @@ timing drivers, all reproducible from (config, seed).
 from __future__ import annotations
 
 import gc
-import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -199,26 +198,6 @@ class ExperimentResult:
     config: dict
     records: list = field(default_factory=list)
     summaries: dict = field(default_factory=dict)
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(asdict(self), indent=2, default=_jsonify)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentResult":
-        raw = json.loads(text)
-        return cls(raw["config"], raw["records"], raw["summaries"])
-
-
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def audited_median(values) -> float:

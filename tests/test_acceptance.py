@@ -1,27 +1,33 @@
 """End-to-end acceptance checks.
 
 Each test covers one numbered claim about the toolkit, prints a single
-PASS/FAIL line for it and then asserts.  Heavier studies share module
-fixtures so each piece of work runs once.
+PASS/FAIL line for it and then asserts.  Criteria 4-9 run the bundled
+studies in ``configs/`` through ``msid run``, changing at most the
+formulation or pendulum scenario they sweep, and read the files it
+writes.
 """
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from msid import (EstimationProblem, MsaPem, MultipleShooting, ShootingPlan,
-                  SingleShooting, SolverOptions, as_nlp,
-                  gen_farina, gen_linear2nd, gen_logistic, gen_pendulum,
-                  grid_scan, incremental_k_schedule, simulate, solve,
-                  smoothness_report, timing_study, total_variation)
-from msid.experiments import (FARINA_TRUE, PENDULUM_TRUE, MonteCarloConfig,
-                              audited_median, monte_carlo_study, study_options)
+                  SingleShooting, SolverOptions, as_nlp, gen_farina,
+                  incremental_k_schedule, simulate, solve)
+from msid.cli import main
+from msid.experiments import (FARINA_TRUE, PENDULUM_TRUE, audited_median,
+                              study_options)
 from msid.models import (LogisticMap, NeuralNetOE, Pendulum, farina_polynomial,
                          linear_oe_2nd, lower_to_state_space)
+from msid.smoothness import SmoothnessReport
 
 import oracles
 from test_models import ALL_FAMILIES
 from test_solver import KKT_CASES
 
 CRITERION_LINES = []
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def _report(num, ok, detail):
@@ -144,33 +150,36 @@ def test_criterion_03_solver_kkt_certificates():
             f"< 1e-6 (worst {worst_dist:.2e})")
 
 
+def _config(name):
+    return json.loads((CONFIG_DIR / name).read_text())
+
+
+def _run(tmp_path, cfg, label, output="result.json"):
+    """Run ``cfg`` through ``msid run`` and read one of its output files."""
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / label
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0, label
+    return (out / output).read_text()
+
+
 @pytest.fixture(scope="module")
-def logistic_sweep():
-    ds = gen_logistic(n=200)
-    model = lower_to_state_space(LogisticMap())
-    rng = np.random.default_rng(0)
-    starts = rng.uniform(3.2, 3.9, size=15)
-    opts = study_options()
+def logistic_sweep(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("logistic")
+    cfg = _config("logistic_multistart.json")
     out = {}
-    for label, form in (
-            ("ms2", MultipleShooting(ShootingPlan.from_max_len(200, 2))),
-            ("ms5", MultipleShooting(ShootingPlan.from_max_len(200, 5))),
-            ("ms10", MultipleShooting(ShootingPlan.from_max_len(200, 10))),
-            ("ss", SingleShooting(optimize_x0=True))):
-        prob = EstimationProblem(model, ds, form)
-        runs = []
-        for theta0 in starts:
-            res = solve(as_nlp(prob), prob.default_point(np.array([theta0])),
-                        opts)
-            runs.append({"theta": float(res.point[0]), "n_eval": res.n_eval,
-                         "hit": abs(res.point[0] - 3.78) < 1e-3})
-        out[label] = runs
+    for label, form in (("ms2", {"kind": "multiple", "max_len": 2}),
+                        ("ms5", {"kind": "multiple", "max_len": 5}),
+                        ("ms10", {"kind": "multiple", "max_len": 10}),
+                        ("ss", {"kind": "single"})):
+        cfg["formulation"] = form
+        out[label] = json.loads(_run(tmp, cfg, label))["records"]
     return out
 
 
 def test_criterion_04_logistic_recovery(logistic_sweep):
-    ms_hits = sum(r["hit"] for r in logistic_sweep["ms2"])
-    ss_hits = sum(r["hit"] for r in logistic_sweep["ss"])
+    ms_hits, ss_hits = (sum(abs(r["theta"][0] - 3.78) < 1e-3
+                            for r in logistic_sweep[k]) for k in ("ms2", "ss"))
     ok = ms_hits == 15 and ss_hits <= 5
     _report(4, ok, f"short-interval shooting recovers 3.78 from {ms_hits}/15 "
             f"starts; single shooting from {ss_hits}/15 (cap 5)")
@@ -188,33 +197,26 @@ def test_criterion_05_evaluation_count_ordering(logistic_sweep):
             f"{med['ss']:.0f} (early local stop)")
 
 
-def test_criterion_06_pendulum_basins():
-    model = lower_to_state_space(Pendulum())
+def test_criterion_06_pendulum_basins(tmp_path):
     true = np.asarray(PENDULUM_TRUE)
-    opts = study_options(max_iter=150)
-    g1, g2 = np.meshgrid(np.linspace(20, 50, 5), np.linspace(0.5, 6, 5))
-    starts = np.stack([g1.ravel(), g2.ravel()], axis=1)
+    cfg = _config("pendulum_basins.json")
+    ms_form = cfg["formulation"]
     hits = {}
     for scen in ("b", "c"):
-        ds = gen_pendulum(scen, seed=0)
-        plan = ShootingPlan.from_max_len(ds.n, 16)
-        for label, form in (("ms", MultipleShooting(plan)),
-                            ("ss", SingleShooting(optimize_x0=True))):
-            prob = EstimationProblem(model, ds, form)
-            count = 0
-            for theta0 in starts:
-                res = solve(as_nlp(prob), prob.default_point(theta0), opts)
-                count += bool(np.all(np.abs(res.point[:2] - true)
-                                     <= 0.02 * np.abs(true)))
-            hits[scen, label] = count
-    ds_b = gen_pendulum("b", seed=0)
-    plan = ShootingPlan.from_max_len(ds_b.n, 16)
-    axes = [np.linspace(20, 50, 60), np.linspace(0.5, 6, 60)]
-    tv_ms = total_variation(grid_scan(
-        EstimationProblem(model, ds_b, MultipleShooting(plan)), axes))
-    tv_ss = total_variation(grid_scan(
-        EstimationProblem(model, ds_b, SingleShooting(optimize_x0=True)), axes))
-    ratio = tv_ss / tv_ms
+        cfg["dataset"]["scenario"] = scen
+        for label, form in (("ms", ms_form), ("ss", {"kind": "single"})):
+            cfg["formulation"] = form
+            records = json.loads(_run(tmp_path, cfg, f"{scen}-{label}"))["records"]
+            hits[scen, label] = sum(
+                bool(np.all(np.abs(np.asarray(r["theta"]) - true)
+                            <= 0.02 * np.abs(true))) for r in records)
+    grid = _config("pendulum_grid.json")
+    tv = {}
+    for label, form in (("ms", grid["formulation"]), ("ss", {"kind": "single"})):
+        grid["formulation"] = form
+        tv[label] = json.loads(_run(tmp_path, grid, f"grid-{label}"))[
+            "summaries"]["total_variation"]
+    ratio = tv["ss"] / tv["ms"]
     ok = (hits["b", "ms"] >= 23 and hits["c", "ms"] >= 23
           and hits["b", "ss"] <= 10 and hits["c", "ss"] <= 10
           and ratio >= 5.0)
@@ -224,38 +226,13 @@ def test_criterion_06_pendulum_basins():
             f"intricacy ratio {ratio:.0f}x (floor 5x)")
 
 
-def test_criterion_07_growth_regimes():
-    # chaotic map: both constants blow up exponentially with the length
-    model = lower_to_state_space(LogisticMap())
-
-    def lg_prob(n):
-        return EstimationProblem(model, gen_logistic(n=n),
-                                 SingleShooting(optimize_x0=False))
-
-    rep_lg = smoothness_report(
-        lambda n: (lambda th, p=lg_prob(n): p.cost(np.atleast_1d(th))),
-        lambda n: (lambda th, p=lg_prob(n): p.gradient(np.atleast_1d(th))),
-        (10, 20, 40, 80), (np.array([3.6]), np.array([3.9])),
-        contraction=3.78, pair_samples=200,
-        hess_vec_builder=lambda n: (
-            lambda th, d, p=lg_prob(n): p.gn_hessian_vec(np.atleast_1d(th),
-                                                         np.atleast_1d(d))))
-
+def test_criterion_07_growth_regimes(tmp_path):
+    # chaotic map: both constants blow up exponentially with the length;
     # contractive linear model: constants settle once past the startup
-    lin = lower_to_state_space(linear_oe_2nd())
-
-    def ln_prob(n):
-        return EstimationProblem(lin, gen_linear2nd("a", seed=0, n=n),
-                                 SingleShooting(optimize_x0=False))
-
-    box = (np.array([0.4, -0.3, 1.8]), np.array([0.6, -0.1, 2.2]))
-    rep_ln = smoothness_report(
-        lambda n: (lambda th, p=ln_prob(n): p.cost(np.asarray(th, float))),
-        lambda n: (lambda th, p=ln_prob(n): p.gradient(np.asarray(th, float))),
-        (80, 160, 240, 320), box, contraction=1.0, pair_samples=120,
-        hess_vec_builder=lambda n: (
-            lambda th, d, p=ln_prob(n): p.gn_hessian_vec(
-                np.asarray(th, float), np.asarray(d, float))))
+    rep_lg, rep_ln = (
+        SmoothnessReport.from_json(_run(tmp_path, _config(f"{name}.json"), name,
+                                        "smoothness.json"))
+        for name in ("logistic_smoothness", "linear2nd_smoothness"))
     lv = rep_ln.lipschitz_estimates
     spread = max(lv) / min(lv)
     ok = (rep_lg.regime_v is not None and rep_lg.regime_beta is not None
@@ -271,13 +248,10 @@ def test_criterion_07_growth_regimes():
             f"with {spread:.2f}x spread (cap 2x)")
 
 
-def test_criterion_08_monte_carlo_bias_pattern():
-    cfg = MonteCarloConfig(
-        generator="linear2nd", setting="c", n_realizations=20,
-        methods=("arx", "oe-ss", "oe-ms:2", "oe-ms:5", "oe-ms:10",
-                 "oe-ms:20", "msa:7", "msa:20"),
-        seed=0, solver=study_options())
-    bm = monte_carlo_study(cfg).summaries["by_method"]
+def test_criterion_08_monte_carlo_bias_pattern(tmp_path):
+    result = json.loads(_run(tmp_path, _config("linear2nd_montecarlo.json"),
+                             "monte-carlo"))
+    bm = result["summaries"]["by_method"]
     arx_bias = abs(bm["arx"]["median_error"][0])
     ss_bias = abs(bm["oe-ss"]["median_error"][0])
     ss_mae = np.asarray(bm["oe-ss"]["median_abs_error"])
@@ -293,11 +267,9 @@ def test_criterion_08_monte_carlo_bias_pattern():
             f"simulation-fit error; horizon 7 beats horizon 20")
 
 
-def test_criterion_09_horizon_cost_scaling():
-    res = timing_study(farina_polynomial(), gen_farina(seed=0),
-                       k_list=(3, 5, 7, 10, 20), dm_list=(2, 5, 10, 20),
-                       reps=9, theta=FARINA_TRUE)
-    s = res.summaries
+def test_criterion_09_horizon_cost_scaling(tmp_path):
+    s = json.loads(_run(tmp_path, _config("msa_timing.json"), "timing",
+                        "timing.json"))["summaries"]
     ok = s["msa_r2"] >= 0.9 and s["msa_slope"] > 0 and s["ms_spread"] < 0.2
     _report(9, ok, "multi-step cost time linear in the horizon "
             f"(R2 {s['msa_r2']:.3f}, slope {s['msa_slope']:.2e}); interval "

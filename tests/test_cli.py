@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from msid.cli import main
+from msid.smoothness import SmoothnessReport
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -318,3 +319,45 @@ def test_timing_study_result_is_deterministic(tmp_path):
                         ("multiple-shooting", 2), ("multiple-shooting", 4)]
     assert all(r["time_per_eval"] > 0 for r in timing["records"])
     assert set(timing["summaries"]) == {"msa_slope", "msa_r2", "ms_spread"}
+
+
+def _smoothness_cfg(family, dataset, param_box):
+    return {"command": "smoothness", "seed": 0,
+            "model": {"family": family}, "dataset": dataset,
+            "formulation": {"kind": "single", "optimize_x0": False},
+            "smoothness": {"lengths": [10, 20, 40], "param_box": param_box,
+                           "pair_samples": 10}}
+
+
+@pytest.mark.parametrize("family, dataset, param_box", [
+    ("logistic", {"generator": "logistic"}, [[3.6, 3.9]]),
+    ("linear-oe-2nd", {"generator": "linear2nd", "setting": "a"},
+     [[0.4, 0.6], [-0.3, -0.1], [1.8, 2.2]])], ids=["logistic", "linear-oe-2nd"])
+def test_smoothness_report_round_trips_and_reruns(tmp_path, family, dataset,
+                                                  param_box):
+    path = _write(tmp_path, _smoothness_cfg(family, dataset, param_box))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", path, "--out", str(out1)]) == 0
+    assert main(["run", "--config", path, "--out", str(out2)]) == 0
+    text = (out1 / "smoothness.json").read_text()
+    report = SmoothnessReport.from_json(text)
+    assert report.to_json() + "\n" == text
+    assert report.lengths == [10, 20, 40]
+    assert all(v > 0 for v in report.lipschitz_estimates + report.beta_estimates)
+    assert (out1 / "smoothness.json").read_bytes() == (out2 / "smoothness.json").read_bytes()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("param_box", [[0.4, 0.6]], "param_box: expected 3"),
+    ("lengths", [80, 160], "lengths: expected a list of at least 3"),
+    ("contraction_samples", 0, "contraction_samples: must be >= 1")],
+    ids=["param_box", "lengths", "contraction_samples"])
+def test_smoothness_fields_checked_at_validate(tmp_path, capsys, field, value,
+                                               message):
+    # each of these configs ran into a traceback before validate checked it
+    cfg = _smoothness_cfg("linear-oe-2nd", {"generator": "linear2nd"},
+                          [[0.4, 0.6], [-0.3, -0.1], [1.8, 2.2]])
+    cfg["smoothness"][field] = value
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 3
+    assert f"config.smoothness.{message}" in capsys.readouterr().err
