@@ -245,17 +245,25 @@ def arx_fit(dataset: Dataset, n_a: int, n_b: int) -> np.ndarray:
     return theta
 
 
-def _build_formulation(method: str, n: int):
-    """Parse a method tag into (label, formulation or None for ARX)."""
-    if method == "arx":
-        return None
-    if method == "oe-ss":
-        return SingleShooting(optimize_x0=True)
-    if method.startswith("oe-ms:"):
-        return MultipleShooting(ShootingPlan.from_max_len(n, int(method.split(":")[1])))
-    if method.startswith("msa:"):
-        return MsaPem(int(method.split(":")[1]))
+def _method_tag(method: str):
+    """Split a method tag into its kind and its argument: the interval cap
+    of ``oe-ms:<max_len>`` or the horizon of ``msa:<K>``, both >= 1, and
+    None for ``arx`` and ``oe-ss``."""
+    kind, colon, arg = method.partition(":")
+    if ((kind in ("arx", "oe-ss") and not colon)
+            or (kind in ("oe-ms", "msa") and arg.isdigit() and int(arg) >= 1)):
+        return kind, int(arg) if colon else None
     raise ValueError(f"unknown estimation method {method!r}")
+
+
+def _build_formulation(method: str, n: int):
+    """The formulation of a method tag other than ``arx``."""
+    kind, arg = _method_tag(method)
+    if kind == "oe-ss":
+        return SingleShooting(optimize_x0=True)
+    if kind == "oe-ms":
+        return MultipleShooting(ShootingPlan.from_max_len(n, arg))
+    return MsaPem(arg)
 
 
 def estimate(model_family, dataset: Dataset, method: str, theta_init=None,
@@ -315,6 +323,9 @@ def multi_start_study(problem: EstimationProblem, guesses,
 
 @dataclass
 class MonteCarloConfig:
+    """A Monte Carlo study; construction checks the generator, the setting
+    and every method tag, so a bad one fails before any estimation."""
+
     generator: str = "linear2nd"
     setting: str = "c"
     n_realizations: int = 20
@@ -322,6 +333,16 @@ class MonteCarloConfig:
     seed: int = 0
     noise_std: float | None = None
     solver: SolverOptions | None = None
+
+    def __post_init__(self):
+        if self.generator not in ("linear2nd", "farina"):
+            raise ValueError("generator must be 'linear2nd' or 'farina', "
+                             f"not {self.generator!r}")
+        if self.generator == "linear2nd" and self.setting not in LINEAR2ND_SETTINGS:
+            raise ValueError(f"setting must be one of {', '.join(LINEAR2ND_SETTINGS)}, "
+                             f"not {self.setting!r}")
+        for method in self.methods:
+            _method_tag(method)
 
 
 def monte_carlo_study(config: MonteCarloConfig) -> ExperimentResult:
@@ -338,15 +359,13 @@ def monte_carlo_study(config: MonteCarloConfig) -> ExperimentResult:
         def gen(seed):
             kw = {} if config.noise_std is None else {"noise_std": config.noise_std}
             return gen_linear2nd(config.setting, seed=seed, **kw)
-    elif config.generator == "farina":
+    else:
         theta_true = np.asarray(FARINA_TRUE)
         family = farina_polynomial()
 
         def gen(seed):
             kw = {} if config.noise_std is None else {"noise_std": config.noise_std}
             return gen_farina(seed=seed, **kw)
-    else:
-        raise ValueError(f"unsupported Monte Carlo generator {config.generator!r}")
 
     opts = config.solver or SolverOptions()
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_realizations)
@@ -475,7 +494,7 @@ def timing_study(model_family, dataset: Dataset, k_list=(), dm_list=(),
         gc.disable()            # a collection of the whole heap is not the cost
         try:
             for r in range(reps):
-                for j in range(max(loops)):
+                for j in range(max(loops, default=0)):
                     for i, run in enumerate(evals):
                         if j < loops[i]:
                             t0 = time.perf_counter()

@@ -232,7 +232,7 @@ def _csv_estimate_cfg(tmp_path, text):
 
 def test_header_only_csv_exits_3(tmp_path, capsys):
     path = _csv_estimate_cfg(tmp_path, "k,u,y\n")
-    assert main(["validate", "--config", path]) == 0
+    assert main(["validate", "--config", path]) == 3
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
     assert "dataset.csv" in capsys.readouterr().err
 
@@ -257,6 +257,67 @@ def test_unused_model_key_rejected(tmp_path, capsys):
     cfg["model"]["hidden"] = 7
     assert main(["validate", "--config", _write(tmp_path, cfg)]) == 3
     assert "config.model" in capsys.readouterr().err
+
+
+# (bundled config, field, value, exit code, message): each of these configs
+# used to pass validate and then fail, or crash, only under run
+BUILD_FAILURES = {
+    "multi-start-tol": ("logistic_multistart", "study.tol", "x", 3,
+                        "config.study.tol: expected a number"),
+    "multi-start-guess-length": ("logistic_multistart", "study.guesses",
+                                 [[3.4, 1.0]], 3,
+                                 "config.study.guesses[0]: expected 1 values"),
+    "multi-start-guess-type": ("logistic_multistart", "study.guesses", ["a"], 3,
+                               "config.study.guesses[0]: expected a list"),
+    "multi-start-target": ("pendulum_basins", "study.target", [1, 2, 3], 3,
+                           "config.study.target: expected 2 values"),
+    "monte-carlo-method": ("linear2nd_montecarlo", "study.methods", ["oe-xx"], 3,
+                           "config.study: unknown estimation method 'oe-xx'"),
+    "monte-carlo-generator": ("linear2nd_montecarlo", "study.generator",
+                              "pendulum", 3, "config.study: generator must be"),
+    "monte-carlo-setting": ("linear2nd_montecarlo", "study.setting", "z", 3,
+                            "config.study: setting must be"),
+    "timing-reps": ("msa_timing", "study.reps", "x", 3,
+                    "config.study.reps: expected an integer"),
+    "timing-horizon": ("msa_timing", "study.k_list", [0], 3,
+                       "config.study.k_list[0]: prediction horizon must be >= 1"),
+    # a max_len-16 plan over 1024 pendulum samples has 64 two-state seeds
+    "grid-fixed-seeds": ("pendulum_grid", "study.fixed_seeds", [0.5, 0.4], 3,
+                         "config.study.fixed_seeds: expected 128 numbers"),
+    "missing-csv": ("logistic_estimate_ms2", "dataset",
+                    {"csv": "no-such-dir/data.csv"}, 2,
+                    "file not found: no-such-dir/data.csv"),
+    "incremental-flag": ("logistic_estimate_ms2", "formulation.incremental",
+                         "yes please", 3,
+                         "config.formulation.incremental: unknown field"),
+    "solver-trace": ("logistic_estimate_ms2", "solver.trace", True, 3,
+                     "config.solver.trace: unknown field"),
+    "pair-samples": ("logistic_smoothness", "smoothness.pair_samples", 2.5, 3,
+                     "config.smoothness.pair_samples: expected an integer"),
+    "dataset-n": ("logistic_estimate_ms2", "dataset.n", 10.7, 3,
+                  "config.dataset.n: expected an integer"),
+    "max-iter": ("logistic_estimate_ms2", "solver.max_iter", 2.5, 3,
+                 "config.solver.max_iter: expected an integer"),
+}
+
+
+@pytest.mark.parametrize("name, field, value, code, message",
+                         BUILD_FAILURES.values(), ids=BUILD_FAILURES)
+def test_validate_and_run_agree(tmp_path, capsys, name, field, value, code,
+                                message):
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    *parents, key = field.split(".")
+    obj = cfg
+    for part in parents:
+        obj = obj[part]
+    obj[key] = value
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == code
+    assert message in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _grid_cfg(family="logistic", grid=None):
@@ -294,7 +355,7 @@ def test_grid_fixed_seed_count_checked_at_run(tmp_path, capsys):
     cfg = _grid_cfg()
     cfg["study"]["fixed_seeds"] = [0.5, 0.4]
     path = _write(tmp_path, cfg)
-    assert main(["validate", "--config", path]) == 0
+    assert main(["validate", "--config", path]) == 3
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
     assert "config.study.fixed_seeds" in capsys.readouterr().err
     cfg["study"]["fixed_seeds"] = [0.5] * 10

@@ -10,7 +10,8 @@ from msid import (EstimationProblem, ExperimentResult, MsaPem,
                   gen_pendulum, grid_scan, linear_fit_r2, multi_start_study,
                   total_variation)
 from msid.cli import write_json
-from msid.experiments import LINEAR2ND_SETTINGS, held_gaussian, study_options
+from msid.experiments import (LINEAR2ND_SETTINGS, MonteCarloConfig,
+                              held_gaussian, study_options, timing_study)
 from msid.models import (LinearARMAX, LogisticMap, NeuralNetOE,
                          lower_to_state_space)
 
@@ -162,6 +163,24 @@ def test_multi_start_study_counts_successes():
     assert res.summaries["successes"] == 2
     assert len(res.records) == 2
     assert all(abs(r["theta"][0] - 3.78) < 1e-3 for r in res.records)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("generator", "pendulum", "generator must be"),
+    ("setting", "z", "setting must be"),
+    ("methods", ("arx", "oe-ms:0"), "unknown estimation method 'oe-ms:0'"),
+    ("methods", ("msa",), "unknown estimation method 'msa'")])
+def test_monte_carlo_config_checks_its_fields(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        MonteCarloConfig(**{field: value})
+    MonteCarloConfig(generator="farina", setting="z",
+                     methods=("arx", "oe-ss", "oe-ms:5", "msa:7"))
+
+
+def test_timing_study_with_horizons_only():
+    res = timing_study(LogisticMap(), gen_logistic(n=40), k_list=(1, 2, 3), reps=1)
+    assert [r["K"] for r in res.records] == [1, 2, 3]
+    assert "ms_spread" not in res.summaries
 
 
 def test_experiment_result_json_round_trip(tmp_path):

@@ -5,14 +5,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msid
 from msid import (EstimationProblem, MultipleShooting, NlpProblem,
                   ShootingPlan, SingleShooting, SolverOptions, as_nlp,
                   gen_logistic, solve)
 from msid.models import LogisticMap, lower_to_state_space
-from msid.solver import (JacobianSvd, horizontal_step, lagrange_multipliers,
-                         merit, vertical_step)
+from msid.solver import (JacobianSvd, ShootingJacobian, factorize,
+                         horizontal_step, lagrange_multipliers, merit,
+                         vertical_step)
 
 import oracles
 
@@ -97,16 +100,32 @@ def test_vertical_step_respects_radius_fraction(rng):
     assert np.linalg.norm(jac @ v + c) < np.linalg.norm(c)
 
 
-def test_horizontal_step_keeps_linearized_feasibility(rng):
-    h_mat = rng.normal(size=(6, 6))
-    h_mat = h_mat @ h_mat.T + np.eye(6)
-    grad = rng.normal(size=6)
-    jac = rng.normal(size=(2, 6))
-    fac = JacobianSvd.of(jac)
-    v, _ = vertical_step(fac, rng.normal(size=2), delta=1.0)
-    p, _ = horizontal_step(grad, lambda q: h_mat @ q, fac, v, 1.0, 50)
-    np.testing.assert_allclose(jac @ p, jac @ v, atol=1e-10)
-    assert np.linalg.norm(p) <= 1.0 + 1e-9
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       shooting=st.booleans(),
+       rows=st.integers(min_value=1, max_value=6),
+       cols=st.integers(min_value=1, max_value=3),
+       radius=st.sampled_from([1e-2, 1.0, 1e3]))
+def test_horizontal_step_keeps_linearized_feasibility(seed, shooting, rows, cols,
+                                                      radius):
+    # a dense J is rows x (rows + cols); a ShootingJacobian has rows blocks
+    # of cols states and cols - 1 parameters
+    rng = np.random.default_rng(seed)
+    if shooting:
+        jac = ShootingJacobian(rng.normal(size=(rows, cols, 2 * cols - 1)), cols - 1)
+        dense = jac.toarray()
+    else:
+        jac = dense = rng.normal(size=(rows, rows + cols))
+    m, n = dense.shape
+    h_mat = rng.normal(size=(n, n))
+    h_mat = h_mat @ h_mat.T + np.eye(n)
+    fac = factorize(jac)
+    v, _ = vertical_step(fac, rng.normal(size=m), delta=radius)
+    p, _ = horizontal_step(rng.normal(size=n), lambda q: h_mat @ q, fac, v,
+                           radius, n - m + 10)
+    scale = np.linalg.norm(dense, 2) * max(np.linalg.norm(p), np.linalg.norm(v))
+    assert np.linalg.norm(dense @ p - dense @ v) <= 1e-12 * scale
+    assert np.linalg.norm(p) <= radius * (1 + 1e-9)
 
 
 def test_horizontal_step_unconstrained_matches_newton(rng):
@@ -301,27 +320,38 @@ def test_unconstrained_reduces_to_newton_cg():
     np.testing.assert_allclose(res.point, [1.0, 1.0], atol=1e-7)
 
 
-def test_penalty_never_decreases():
-    nlp = _circle_nlp(2.0)
-    opts = SolverOptions(trace=True, mu0=0.5)
-    res = solve(nlp, np.array([3.0, 1.0]), opts)
-    mus = [rec["penalty"] for rec in res.trace]
+# random starts on the KKT_CASES problems, solved with a trace
+_TRACED = SolverOptions(trace=True, mu0=1e-3, penalty_margin=1e-4, max_iter=300)
+
+
+def _traced_solve(case, start):
+    nlp = case.values[0]
+    return solve(nlp, np.asarray(start[: nlp.n]), _TRACED)
+
+
+_STARTS = st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=5,
+                   max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(KKT_CASES), start=_STARTS)
+def test_penalty_never_decreases(case, start):
+    mus = [rec["penalty"] for rec in _traced_solve(case, start).trace]
     assert all(b >= a for a, b in zip(mus, mus[1:]))
 
 
-def test_accepted_steps_decrease_merit():
-    # trace rows record V and ||c|| before the step; after an accepted step
-    # (ratio above the acceptance threshold) the next row's merit at the
-    # same penalty must not be larger
-    nlp = _circle_nlp(2.0)
-    opts = SolverOptions(trace=True, mu0=1e-3, penalty_margin=1e-4)
-    res = solve(nlp, np.array([3.0, 1.0]), opts)
-    for a, b in zip(res.trace, res.trace[1:]):
-        if a["ratio"] > opts.accept_ratio and b["penalty"] == a["penalty"]:
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(KKT_CASES), start=_STARTS)
+def test_accepted_steps_decrease_merit(case, start):
+    # trace rows record V and ||c|| before the step, and the ratio of the
+    # step's actual to predicted merit reduction at the row's penalty; after
+    # an accepted step the next row's merit at that penalty is lower
+    trace = _traced_solve(case, start).trace
+    for a, b in zip(trace, trace[1:]):
+        if a["ratio"] > _TRACED.accept_ratio:
             mu = a["penalty"]
-            phi_a = a["V"] + mu * a["constraint_norm"]
-            phi_b = b["V"] + mu * b["constraint_norm"]
-            assert phi_b <= phi_a + 1e-12 * (1 + abs(phi_a))
+            assert (b["V"] + mu * b["constraint_norm"]
+                    < a["V"] + mu * a["constraint_norm"])
 
 
 def test_trace_records_radius_and_ratio():
