@@ -15,10 +15,10 @@ same steps and then executes.  The two therefore accept the same
 configs, and a config that fails to build stops ``run`` before it
 creates any output.
 
-Exit codes: 0 success, 2 missing file (the config or a CSV dataset), 3
-schema violation (message names the offending field path), 4 solver did
-not converge (status ``max-iter``) or could not evaluate its start
-(status ``non-finite``).
+Exit codes: 0 success, 2 missing file (the config or a CSV dataset, or
+a path to either that names a directory), 3 schema violation (message
+names the offending field path), 4 solver did not converge (status
+``max-iter``) or could not evaluate its start (status ``non-finite``).
 """
 from __future__ import annotations
 
@@ -344,9 +344,17 @@ def build_smoothness(cfg, seed):
     box = tuple(np.array(b, float) for b in zip(*pairs))
     data = _required(cfg, "dataset", "config")
     form = cfg.get("formulation", {"kind": "single"})
+    # a generator runs at each length; a CSV record is read once and its
+    # first n samples serve length n
+    record = build_dataset(data, seed) if "csv" in data else None
     problems = {}
-    for n in lengths:
-        ds = build_dataset({**data, "n": n}, seed)
+    for i, n in enumerate(lengths):
+        if record is None:
+            ds = build_dataset({**data, "n": n}, seed)
+        else:
+            _check(n <= record.n, f"config.smoothness.lengths[{i}]",
+                   f"{n} exceeds the {record.n} samples of {data['csv']}")
+            ds = Dataset(record.u[:n], record.y[:n], record.meta)
         problems[n] = EstimationProblem(model, ds, build_formulation(form, ds.n))
     nth = model.theta_dim
 
@@ -535,6 +543,9 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
+        return EXIT_MISSING
+    except IsADirectoryError as exc:
+        print(f"a directory, not a file: {exc.filename}", file=sys.stderr)
         return EXIT_MISSING
     if args.action == "validate":
         print("config ok")

@@ -17,8 +17,14 @@ a leading batch axis.  A row's value does not depend on the batch size:
 products use ``einsum``, as BLAS ``@`` rounds a row by the batch's shape.
 ``transition`` and ``output`` accept ``theta`` of shape (n_theta,), shared
 across the batch, or (n_theta, B), one parameter vector per batch row
-(what a cost scan over a parameter grid passes).  The Jacobian evaluators
-take a shared ``theta`` only.
+(what a cost scan over a parameter grid passes); each row of a per-row
+call is bit-equal to the one-row call with that row's ``theta``.  The
+Jacobian evaluators take a shared ``theta`` only.
+
+The logistic map, the polynomial output-error models and the neural-net
+output-error model share one recursion, y[k] = f(y[k-1..k-p], u; theta),
+and are lowered by one builder from their one-step map f and its
+derivatives.
 """
 from __future__ import annotations
 
@@ -189,35 +195,75 @@ def lower_to_state_space(family: ModelFamily) -> StateSpaceModel:
     raise ModelStructureError(f"unknown model family {family!r}")
 
 
-def _lower_logistic(fam: LogisticMap) -> StateSpaceModel:
+def _theta_rows(th, b):
+    """theta as (b, n_theta) rows with unit stride along theta: a zero-stride
+    view of a shared (n_theta,) vector, a copy of a per-row (n_theta, b)
+    array.  einsum's rounding follows operand strides, so a row read this
+    way gives the bits of its one-row call."""
+    th = np.asarray(th)
+    return np.broadcast_to(np.ascontiguousarray(th.T), (b, th.shape[0]))
+
+
+def _apply_coeffs(vals, th):
+    """Term values (B, T) times coefficients, shared or per-row."""
+    return np.einsum("bt,bt->b", vals, _theta_rows(th, vals.shape[0]))
+
+
+def _output_error(name, p, n_u, theta0, f, df) -> StateSpaceModel:
+    """Lower y[k] = f(y[k-1..k-p], u; theta), where the y-lags are past
+    *model* outputs: the state is a shift register of the last p of them,
+    newest first.  ``f(x, z, th)`` returns the new output (B,);
+    ``df(x, z, th)`` returns (df/dx (B, p), df/dtheta (B, n_theta))."""
+    nth = len(theta0)
+
     def transition(x, z, th):
-        x1 = x[:, 0]
-        return (th[0] * x1 * (1.0 - x1))[:, None]
+        y = f(x, z, th)[:, None]
+        # no concatenate at p = 1: it costs the logistic map's per-step loops
+        return y if p == 1 else np.concatenate([y, x[:, : p - 1]], axis=1)
 
     def output(x, z, th):
-        return x.copy()
+        return x[:, :1].copy()
 
     def tjac(x, z, th):
-        A = (th[0] * (1.0 - 2.0 * x))[:, :, None]
-        B = (x * (1.0 - x))[:, :, None]
+        dx, dth = df(x, z, th)
+        b = x.shape[0]
+        A = np.zeros((b, p, p))
+        A[:, 0, :] = dx
+        for i in range(1, p):
+            A[:, i, i - 1] = 1.0
+        B = np.zeros((b, p, nth))
+        B[:, 0, :] = dth
         return A, B
 
     def ojac(x, z, th):
         b = x.shape[0]
-        return np.ones((b, 1, 1)), np.zeros((b, 1, 1))
+        C = np.zeros((b, 1, p))
+        C[:, 0, 0] = 1.0
+        return C, np.zeros((b, 1, nth))
 
     def init_state(y, u, m):
-        return np.array([y[max(m - 1, 0)]])
+        return np.array([y[max(m - 1 - j, 0)] for j in range(p)])
 
     return StateSpaceModel(
-        name="logistic",
-        state_dim=1, theta_dim=1, output_dim=1,
-        n_y=1, n_u=0, n_v=0,
+        name=name,
+        state_dim=p, theta_dim=nth, output_dim=1,
+        n_y=p, n_u=n_u, n_v=0,
         transition=transition, output=output,
         transition_jacobians=tjac, output_jacobians=ojac,
         init_state=init_state,
-        default_theta=np.array([float(fam.theta)]),
+        default_theta=theta0,
     )
+
+
+def _lower_logistic(fam: LogisticMap) -> StateSpaceModel:
+    def f(x, z, th):
+        x1 = x[:, 0]
+        return th[0] * x1 * (1.0 - x1)
+
+    def df(x, z, th):
+        return th[0] * (1.0 - 2.0 * x), x * (1.0 - x)
+
+    return _output_error("logistic", 1, 0, np.array([float(fam.theta)]), f, df)
 
 
 def _lower_pendulum(fam: Pendulum) -> StateSpaceModel:
@@ -277,13 +323,6 @@ def _lower_pendulum(fam: Pendulum) -> StateSpaceModel:
     )
 
 
-def _apply_coeffs(vals, th):
-    """Term values (B, T) times coefficients; th may carry one coefficient
-    vector per batch row as a (T, B) array."""
-    th = np.asarray(th)
-    return np.einsum("bt,t->b" if th.ndim == 1 else "bt,tb->b", vals, th)
-
-
 def _check_terms(terms):
     if not terms:
         raise ModelStructureError("polynomial model needs at least one term")
@@ -339,66 +378,40 @@ def _lower_polynomial(fam: Polynomial) -> StateSpaceModel:
     nu = max([lag for term in terms for kind, lag in term if kind == "u"], default=0)
     default_theta = np.asarray(fam.theta, dtype=float)
 
-    if fam.noise == "arx" or ny == 0:
-        # empty state: the prediction depends on z[k] and theta only
-        def transition(x, z, th):
-            return x[:, :0]
-
-        def output(x, z, th):
-            vals, _ = _poly_monomials(terms, z.past_outputs[:, :ny], z.current_inputs, False)
-            return _apply_coeffs(vals, th)[:, None]
-
-        def tjac(x, z, th):
-            b = x.shape[0]
-            return np.zeros((b, 0, 0)), np.zeros((b, 0, nt))
-
-        def ojac(x, z, th):
-            vals, _ = _poly_monomials(terms, z.past_outputs[:, :ny], z.current_inputs, False)
-            b = vals.shape[0]
-            return np.zeros((b, 1, 0)), vals[:, None, :]
-
-        def init_state(y, u, m):
-            return np.zeros(0)
-
-        name = "poly-arx"
-        nx = 0
-    else:
-        p = ny
-
-        def transition(x, z, th):
+    if fam.noise == "oe" and ny > 0:
+        def f(x, z, th):
             vals, _ = _poly_monomials(terms, x, z.current_inputs, False)
-            f = _apply_coeffs(vals, th)
-            return np.concatenate([f[:, None], x[:, : p - 1]], axis=1)
+            return _apply_coeffs(vals, th)
 
-        def output(x, z, th):
-            return x[:, :1].copy()
-
-        def tjac(x, z, th):
+        def df(x, z, th):
             vals, dy = _poly_monomials(terms, x, z.current_inputs, True)
-            b = x.shape[0]
-            A = np.zeros((b, p, p))
-            A[:, 0, :] = np.einsum("btj,t->bj", dy, th)
-            for i in range(1, p):
-                A[:, i, i - 1] = 1.0
-            B = np.zeros((b, p, nt))
-            B[:, 0, :] = vals
-            return A, B
+            return np.einsum("btj,t->bj", dy, th), vals
 
-        def ojac(x, z, th):
-            b = x.shape[0]
-            C = np.zeros((b, 1, p))
-            C[:, 0, 0] = 1.0
-            return C, np.zeros((b, 1, nt))
+        return _output_error("poly-oe", ny, nu, default_theta, f, df)
 
-        def init_state(y, u, m):
-            return np.array([y[max(m - 1 - j, 0)] for j in range(p)])
+    # ARX: empty state, the prediction depends on z[k] and theta only
+    def transition(x, z, th):
+        return x[:, :0]
 
-        name = "poly-oe"
-        nx = p
+    def output(x, z, th):
+        vals, _ = _poly_monomials(terms, z.past_outputs[:, :ny], z.current_inputs, False)
+        return _apply_coeffs(vals, th)[:, None]
+
+    def tjac(x, z, th):
+        b = x.shape[0]
+        return np.zeros((b, 0, 0)), np.zeros((b, 0, nt))
+
+    def ojac(x, z, th):
+        vals, _ = _poly_monomials(terms, z.past_outputs[:, :ny], z.current_inputs, False)
+        b = vals.shape[0]
+        return np.zeros((b, 1, 0)), vals[:, None, :]
+
+    def init_state(y, u, m):
+        return np.zeros(0)
 
     return StateSpaceModel(
-        name=name,
-        state_dim=nx, theta_dim=nt, output_dim=1,
+        name="poly-arx",
+        state_dim=0, theta_dim=nt, output_dim=1,
         n_y=ny, n_u=nu, n_v=0,
         transition=transition, output=output,
         transition_jacobians=tjac, output_jacobians=ojac,
@@ -419,75 +432,37 @@ def _lower_neural_net(fam: NeuralNetOE) -> StateSpaceModel:
     h = fam.hidden
     n_in = p + fam.n_u + 1
     ntheta = neural_net_theta_size(fam.n_y, fam.n_u, fam.hidden)
+    # theta = (W1 (h, n_in) row-major, b1 (h,), w2 (h,), b2)
+    i_b1, i_w2 = h * n_in, h * n_in + h
 
-    def unpack(th):
-        w1 = th[: h * n_in].reshape(h, n_in)
-        b1 = th[h * n_in : h * n_in + h]
-        w2 = th[h * n_in + h : h * n_in + 2 * h]
-        b2 = th[-1]
-        return w1, b1, w2, b2
-
-    def _forward(x, z, th):
+    def forward(x, z, th):
         r = np.concatenate([x, z.current_inputs], axis=1)
-        if th.ndim == 1:
-            w1, b1, w2, b2 = unpack(th)
-            t = np.tanh(np.einsum("bi,hi->bh", r, w1) + b1)
-            return r, t, np.einsum("bh,h->b", t, w2) + b2
-        # one weight set per batch row: th is (ntheta, B)
-        w1 = th[: h * n_in].T.reshape(-1, h, n_in)
-        b1, w2 = th[h * n_in : h * n_in + h].T, th[h * n_in + h : h * n_in + 2 * h].T
-        t = np.tanh(np.einsum("bhi,bi->bh", w1, r) + b1)
-        return r, t, np.einsum("bh,bh->b", t, w2) + th[-1]
+        b = r.shape[0]
+        rows = _theta_rows(th, b)
+        w1 = rows[:, :i_b1].reshape(b, h, n_in)
+        t = np.tanh(np.einsum("bhi,bi->bh", w1, r) + rows[:, i_b1:i_w2])
+        return r, t, np.einsum("bh,bh->b", t, rows[:, i_w2:-1]) + rows[:, -1]
 
-    def transition(x, z, th):
-        _, _, f = _forward(x, z, th)
-        return np.concatenate([f[:, None], x[:, : p - 1]], axis=1)
+    def f(x, z, th):
+        return forward(x, z, th)[2]
 
-    def output(x, z, th):
-        return x[:, :1].copy()
-
-    def tjac(x, z, th):
-        w1, b1, w2, b2 = unpack(th)
-        r, t, _ = _forward(x, z, th)
+    def df(x, z, th):
+        r, t, _ = forward(x, z, th)
         b = x.shape[0]
-        sech2 = 1.0 - t * t                       # (b, h)
-        wrow = w2 * sech2                         # (b, h)
-        dfdr = np.einsum("bh,hi->bi", wrow, w1)   # (b, n_in)
-        A = np.zeros((b, p, p))
-        A[:, 0, :] = dfdr[:, :p]
-        for i in range(1, p):
-            A[:, i, i - 1] = 1.0
-        B = np.zeros((b, p, ntheta))
-        dW1 = wrow[:, :, None] * r[:, None, :]    # (b, h, n_in)
-        B[:, 0, : h * n_in] = dW1.reshape(b, h * n_in)
-        B[:, 0, h * n_in : h * n_in + h] = wrow
-        B[:, 0, h * n_in + h : h * n_in + 2 * h] = t
-        B[:, 0, -1] = 1.0
-        return A, B
-
-    def ojac(x, z, th):
-        b = x.shape[0]
-        C = np.zeros((b, 1, p))
-        C[:, 0, 0] = 1.0
-        return C, np.zeros((b, 1, ntheta))
-
-    def init_state(y, u, m):
-        return np.array([y[max(m - 1 - j, 0)] for j in range(p)])
+        wrow = th[i_w2:-1] * (1.0 - t * t)        # (b, h)
+        dfdr = np.einsum("bh,hi->bi", wrow, th[:i_b1].reshape(h, n_in))
+        dth = np.empty((b, ntheta))
+        dth[:, :i_b1] = (wrow[:, :, None] * r[:, None, :]).reshape(b, i_b1)
+        dth[:, i_b1:i_w2] = wrow
+        dth[:, i_w2:-1] = t
+        dth[:, -1] = 1.0
+        return dfdr[:, :p], dth
 
     rng = np.random.default_rng(fam.seed)
     th0 = np.zeros(ntheta)
-    th0[: h * n_in] = rng.normal(0.0, n_in ** -0.5, size=h * n_in)
-    th0[h * n_in + h : h * n_in + 2 * h] = rng.normal(0.0, h ** -0.5, size=h)
-
-    return StateSpaceModel(
-        name="nn-oe",
-        state_dim=p, theta_dim=ntheta, output_dim=1,
-        n_y=p, n_u=fam.n_u, n_v=0,
-        transition=transition, output=output,
-        transition_jacobians=tjac, output_jacobians=ojac,
-        init_state=init_state,
-        default_theta=th0,
-    )
+    th0[:i_b1] = rng.normal(0.0, n_in ** -0.5, size=i_b1)
+    th0[i_w2:-1] = rng.normal(0.0, h ** -0.5, size=h)
+    return _output_error("nn-oe", p, fam.n_u, th0, f, df)
 
 
 def _lower_armax(fam: LinearARMAX) -> StateSpaceModel:

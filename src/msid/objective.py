@@ -102,10 +102,6 @@ class ParameterPoint:
     theta: np.ndarray
     x0s: np.ndarray   # (M, N_x); M = 0 when no state enters the decision
 
-    def pack(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.theta, float).ravel(),
-                               np.asarray(self.x0s, float).ravel()])
-
 
 @dataclass
 class _FullEval:

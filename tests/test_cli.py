@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from msid.cli import main
+from msid.experiments import gen_logistic
 from msid.smoothness import SmoothnessReport
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -49,6 +50,8 @@ def test_bundled_configs_validate():
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err
+    assert main(["validate", "--config", str(tmp_path)]) == 2
+    assert f"a directory, not a file: {tmp_path}" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_3(tmp_path, capsys):
@@ -287,6 +290,8 @@ BUILD_FAILURES = {
     "missing-csv": ("logistic_estimate_ms2", "dataset",
                     {"csv": "no-such-dir/data.csv"}, 2,
                     "file not found: no-such-dir/data.csv"),
+    "csv-directory": ("logistic_estimate_ms2", "dataset", {"csv": str(CONFIG_DIR)},
+                      2, f"a directory, not a file: {CONFIG_DIR}"),
     "incremental-flag": ("logistic_estimate_ms2", "formulation.incremental",
                          "yes please", 3,
                          "config.formulation.incremental: unknown field"),
@@ -406,6 +411,29 @@ def test_smoothness_report_round_trips_and_reruns(tmp_path, family, dataset,
     assert report.lengths == [10, 20, 40]
     assert all(v > 0 for v in report.lipschitz_estimates + report.beta_estimates)
     assert (out1 / "smoothness.json").read_bytes() == (out2 / "smoothness.json").read_bytes()
+
+
+def test_smoothness_reads_a_csv_prefix_per_length(tmp_path, capsys):
+    # length n uses the record's first n samples, as the generator does
+    gen_cfg = _smoothness_cfg("logistic", {"generator": "logistic"}, [[3.6, 3.9]])
+    csv = tmp_path / "logistic.csv"
+    gen_logistic(n=40).to_csv(csv)
+    csv_cfg = {**gen_cfg, "dataset": {"csv": str(csv)}}
+    outs = []
+    for name, cfg in (("gen", gen_cfg), ("csv", csv_cfg)):
+        path = _write(tmp_path, cfg, f"{name}.json")
+        assert main(["run", "--config", path, "--out", str(tmp_path / name)]) == 0
+        outs.append((tmp_path / name / "smoothness.json").read_bytes())
+    assert outs[0] == outs[1]
+    # a length past the end of the record fails at build, in both commands
+    csv_cfg["smoothness"] = {**csv_cfg["smoothness"], "lengths": [10, 20, 80]}
+    path = _write(tmp_path, csv_cfg, "long.json")
+    out = tmp_path / "long"
+    assert main(["validate", "--config", path]) == 3
+    assert main(["run", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("config.smoothness.lengths[2]: 80 exceeds the 40 samples") == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -99,7 +99,8 @@ def test_jacobians_match_finite_differences(family, rng):
 
 
 def test_batched_theta_broadcast_matches_scalar_calls(rng):
-    # grid scans pass theta as (theta_dim, B); rows must match one-by-one calls
+    # grid scans pass theta as (theta_dim, B); each row must have the exact
+    # bits of the one-row call with its theta
     for family in ALL_FAMILIES:
         model = lower_to_state_space(family)
         g = 4
@@ -114,8 +115,8 @@ def test_batched_theta_broadcast_matches_scalar_calls(rng):
                 zi = RegressorWindow(z.past_outputs[i: i + 1],
                                      z.current_inputs[i: i + 1])
                 single = fn(x[i: i + 1], zi, ths[i])
-                np.testing.assert_allclose(batched[i], single[0], rtol=1e-14,
-                                           err_msg=model.name)
+                np.testing.assert_array_equal(batched[i], single[0],
+                                              err_msg=model.name)
 
 
 def test_regressor_matrices_layout():
