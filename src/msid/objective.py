@@ -123,7 +123,10 @@ class EstimationProblem:
 
     Evaluation at a decision point is cached (keyed by the point's bytes),
     so cost, gradient, constraints and their Jacobian at the same point
-    share a single batched rollout.
+    share a single batched rollout.  The phase-1 states of the latest
+    cost-only rollout are kept in one slot: a gradient requested at that
+    point next (the solver's accepted trial point) runs only the
+    sensitivity phase, with the bits of a full rollout.
     """
 
     def __init__(self, model: StateSpaceModel, dataset: Dataset,
@@ -133,6 +136,8 @@ class EstimationProblem:
         self.formulation = formulation
         self._zy, self._zu = regressor_matrices(model, dataset)
         self._cache: dict[bytes, _FullEval] = {}
+        # (key, phase-1 states) of the latest cost-only rollout
+        self._trajectory: tuple[bytes, np.ndarray] | None = None
         self._msa_windows = None
         if isinstance(formulation, MultipleShooting):
             if formulation.plan.boundaries[-1] != dataset.n:
@@ -218,8 +223,11 @@ class EstimationProblem:
             return hit
         pt = self.split(phi)
         starts, lengths, seeds = self._starts_lengths_seeds(pt)
+        kept = self._trajectory
+        xs = kept[1] if with_sens and kept is not None and kept[0] == key else None
         roll = run_intervals(self.model, pt.theta, seeds, self._zy, self._zu,
-                             starts, lengths, with_sens=with_sens)
+                             starts, lengths, with_sens=with_sens, trajectory=xs)
+        self._trajectory = None if with_sens else (key, roll.xs)
         ev = self._assemble(phi, pt, roll, starts, lengths)
         if len(self._cache) >= 8:
             self._cache.pop(next(iter(self._cache)))

@@ -16,6 +16,12 @@ diverges at its first in-length step whose state exceeds ``_STATE_LIMIT``
 or is NaN; from there on, and past its length, its states and state
 sensitivities hold their last good values, its predictions and output
 sensitivities are zero, and its end values are x0 and [0 | I].
+
+Phase 2 is a pure function of the phase-1 states.  Every rollout returns
+them time-major as ``xs`` (T+1, B, N_x); passing them back as
+``trajectory`` to a call with the same model, theta, seeds and intervals
+skips phase 1, so sensitivities at a point whose cost-only rollout has
+just run cost phase 2 alone and carry the bits of a full call.
 """
 from __future__ import annotations
 
@@ -63,6 +69,7 @@ class BatchRollout:
     valid: np.ndarray         # (B, T) bool
     diverged: np.ndarray      # (B,) bool
     divergence_step: np.ndarray          # (B,) int, -1 when finite
+    xs: np.ndarray            # (T+1, B, N_x) phase-1 states, time-major
 
     @property
     def any_diverged(self) -> bool:
@@ -70,13 +77,18 @@ class BatchRollout:
 
 
 def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
-                  with_sens: bool, store_state_sens: bool = False) -> BatchRollout:
+                  with_sens: bool, store_state_sens: bool = False,
+                  trajectory: np.ndarray | None = None) -> BatchRollout:
     """Roll out B intervals in lockstep.
 
     ``x0`` is (B, N_x); interval i covers times starts[i]+1 ..
     starts[i]+lengths[i], reading regressor rows from (zy, zu).
     Diverged intervals freeze in place and are flagged rather than
     raising, so one bad interval cannot poison the batch.
+
+    ``trajectory`` is the ``xs`` of an earlier call with the same model,
+    theta, x0, zy, zu, starts and lengths; when given, the per-step state
+    update is skipped and only phase 2 runs, with the same result.
     """
     theta = np.asarray(theta, dtype=float)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
@@ -87,24 +99,28 @@ def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
     nc = nth + nx
     t_max = int(lengths.max()) if lengths.size else 0
     d0 = np.tile(np.eye(nx, nc, nth), (b, 1, 1)) if with_sens else None   # [0 | I]
+    if trajectory is not None and trajectory.shape != (t_max + 1, b, nx):
+        raise ValueError(f"trajectory must have shape {(t_max + 1, b, nx)}")
     if t_max == 0:
         return BatchRollout(
             starts, lengths, np.zeros((b, 0, nx)), np.zeros((b, 0, nout)),
             np.zeros((b, 0, nout, nc)) if with_sens else None,
             np.zeros((b, 0, nx, nc)) if (with_sens and store_state_sens) else None,
             x0.copy(), d0, np.zeros((b, 0), dtype=bool),
-            np.zeros(b, dtype=bool), np.full(b, -1))
+            np.zeros(b, dtype=bool), np.full(b, -1), x0[None].copy())
 
     # everything below is time-major, (T, B, ...); rows of (zy, zu) read by
     # every interval at every step are gathered once
     row_table = np.clip(starts + np.arange(t_max)[:, None], 0, max(zy.shape[0] - 1, 0))
     zyt, zut = zy[row_table], zu[row_table]
-    xs = np.empty((t_max + 1, b, nx))
-    xs[0] = x0
+    xs = trajectory
     with np.errstate(invalid="ignore", over="ignore"):
-        # phase 1: the state update alone
-        for t in range(t_max):
-            xs[t + 1] = model.transition(xs[t], RegressorWindow(zyt[t], zut[t]), theta)
+        if xs is None:
+            # phase 1: the state update alone
+            xs = np.empty((t_max + 1, b, nx))
+            xs[0] = x0
+            for t in range(t_max):
+                xs[t + 1] = model.transition(xs[t], RegressorWindow(zyt[t], zut[t]), theta)
 
         # phase 2: once over all T*B rows
         rows = t_max * b
@@ -163,7 +179,7 @@ def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
 
     return BatchRollout(starts, lengths, batch_major(states), batch_major(preds),
                         batch_major(jout), batch_major(state_sens), end_states,
-                        end_sens, valid, diverged, div_step)
+                        end_sens, valid, diverged, div_step, xs)
 
 
 def _one_interval(model, x0, dataset, start, end, theta, with_sens):

@@ -13,6 +13,7 @@ from msid.solver import JacobianSvd, ShootingKkt, lagrange_multipliers
 
 import oracles
 from test_models import ALL_FAMILIES
+from test_simulate import _counting_transition
 
 
 def _logistic_problem(form, n=30):
@@ -227,6 +228,79 @@ def test_gn_hessian_vec_is_symmetric_psd(rng):
         hq = prob.gn_hessian_vec(phi, q)
         assert float(q @ hp) == pytest.approx(float(p @ hq), rel=1e-10, abs=1e-12)
         assert float(p @ hp) >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# Phase-1 states reused by a gradient at the point just costed
+# ---------------------------------------------------------------------------
+
+PHASE_TWO_FORMS = {
+    "single-shooting": SingleShooting(optimize_x0=True),
+    "single-shooting-fixed-x0": SingleShooting(optimize_x0=False),
+    "ms16": MultipleShooting(ShootingPlan.from_max_len(64, 16)),
+    "msa": MsaPem(5),
+}
+
+
+def _counted_pendulum_problem(form):
+    """A pendulum-b problem (N = 64) whose model counts its transition calls,
+    an uncounted fresh twin, and a point near the truth."""
+    model, calls = _counting_transition(lower_to_state_space(Pendulum()))
+    ds = gen_pendulum("b", seed=0, n=64)
+    prob = EstimationProblem(model, ds, form)
+    fresh = EstimationProblem(lower_to_state_space(Pendulum()), ds, form)
+    phi = prob.default_point(np.array([31.0, 2.2]))
+    return prob, fresh, phi, calls
+
+
+def _assert_same_derivatives(prob, fresh, phi, rng):
+    assert np.array_equal(prob.gradient(phi), fresh.gradient(phi))
+    p = rng.normal(size=phi.size)
+    assert np.array_equal(prob.gn_hessian_vec(phi, p), fresh.gn_hessian_vec(phi, p))
+    if isinstance(prob.formulation, MultipleShooting):
+        assert np.array_equal(prob.constraint_jacobian(phi).toarray(),
+                              fresh.constraint_jacobian(phi).toarray())
+
+
+@pytest.mark.parametrize("form", PHASE_TWO_FORMS.values(), ids=PHASE_TWO_FORMS)
+def test_gradient_after_cost_steps_no_states(form, rng):
+    prob, fresh, phi, calls = _counted_pendulum_problem(form)
+    prob.cost(phi)
+    assert calls
+    del calls[:]
+    prob.gradient(phi)
+    assert not calls
+    _assert_same_derivatives(prob, fresh, phi, rng)
+    assert not calls
+
+
+@pytest.mark.parametrize("form", PHASE_TWO_FORMS.values(), ids=PHASE_TWO_FORMS)
+def test_gradient_at_an_older_point_reruns_phase_one(form, rng):
+    prob, fresh, phi_a, calls = _counted_pendulum_problem(form)
+    phi_b = phi_a + 1e-3
+    prob.cost(phi_a)
+    prob.cost(phi_b)
+    del calls[:]
+    prob.gradient(phi_a)
+    assert calls
+    _assert_same_derivatives(prob, fresh, phi_a, rng)
+    # every sensitivity rollout empties the slot
+    del calls[:]
+    prob.gradient(phi_b)
+    assert calls
+
+
+def test_only_the_latest_cost_keeps_its_states():
+    form = PHASE_TWO_FORMS["single-shooting"]
+    for j in range(10):
+        prob, _, phi, calls = _counted_pendulum_problem(form)
+        points = [phi + 1e-3 * i for i in range(10)]
+        for point in points:
+            prob.cost(point)
+        assert prob._trajectory[0] == points[-1].tobytes()
+        del calls[:]
+        prob.gradient(points[j])
+        assert bool(calls) == (j < 9), j
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msid import (Dataset, DivergenceError, gen_logistic, run_intervals,
-                  simulate, simulate_with_sensitivities)
+from msid import (BatchRollout, Dataset, DivergenceError, gen_logistic,
+                  run_intervals, simulate, simulate_with_sensitivities)
 from msid.models import LogisticMap, Pendulum, linear_oe_2nd, lower_to_state_space
 from msid.models import regressor_matrices
 from msid.simulate import _STATE_LIMIT
@@ -122,6 +124,30 @@ def test_chained_intervals_equal_one_rollout(theta, split):
     np.testing.assert_allclose(np.concatenate([p1, p2]), full_preds, rtol=1e-12)
 
 
+def _counting_transition(model):
+    """A copy of ``model`` whose ``transition`` records the rows of each call."""
+    calls = []
+
+    def transition(x, z, theta):
+        calls.append(len(x))
+        return model.transition(x, z, theta)
+    return dataclasses.replace(model, transition=transition), calls
+
+
+def _assert_same(actual, expected, name):
+    assert actual.shape == expected.shape, name
+    assert np.array_equal(actual, expected, equal_nan=True), name
+
+
+def _assert_same_rollout(actual, expected):
+    for f in dataclasses.fields(BatchRollout):
+        a, e = getattr(actual, f.name), getattr(expected, f.name)
+        if e is None:
+            assert a is None, f.name
+        else:
+            _assert_same(a, e, f.name)
+
+
 def _padded(rows, held, t_max, shape):
     """Oracle per-step values padded to t_max steps; ``held`` fills the
     steps after the last one (None fills zeros)."""
@@ -131,11 +157,6 @@ def _padded(rows, held, t_max, shape):
     if held is not None:
         out[len(rows):] = held
     return out
-
-
-def _assert_same(actual, expected, name):
-    assert actual.shape == expected.shape, name
-    assert np.array_equal(actual, expected, equal_nan=True), name
 
 
 @settings(max_examples=150, deadline=None)
@@ -149,7 +170,7 @@ def _assert_same(actual, expected, name):
 def test_run_intervals_matches_per_interval_reference(family, seed, lengths,
                                                       theta_gain, x0_scale,
                                                       with_sens):
-    model = lower_to_state_space(family)
+    model, calls = _counting_transition(lower_to_state_space(family))
     rng = np.random.default_rng(seed)
     n = 12
     ds = Dataset(rng.normal(size=n), rng.normal(size=n), {})
@@ -159,8 +180,14 @@ def test_run_intervals_matches_per_interval_reference(family, seed, lengths,
     starts = rng.integers(0, n, size=b)
     theta = (model.default_theta + 0.5 * rng.normal(size=model.theta_dim)) * theta_gain
     x0 = rng.normal(size=(b, nx)) * x0_scale
-    roll = run_intervals(model, theta, x0, zy, zu, starts, lengths,
-                         with_sens=with_sens, store_state_sens=with_sens)
+    args = (model, theta, x0, zy, zu, starts, lengths)
+    roll = run_intervals(*args, with_sens=with_sens, store_state_sens=with_sens)
+    # phase 2 alone, from the states of a cost-only call, has the same bits
+    xs = run_intervals(*args, with_sens=False).xs
+    del calls[:]
+    _assert_same_rollout(run_intervals(*args, with_sens=with_sens, store_state_sens=with_sens,
+                                       trajectory=xs), roll)
+    assert not calls
     t_max = int(lengths.max())
     eye = np.concatenate([np.zeros((nx, model.theta_dim)), np.eye(nx)], axis=1)
     for i in range(b):
@@ -186,3 +213,51 @@ def test_run_intervals_matches_per_interval_reference(family, seed, lengths,
         np.testing.assert_allclose(
             roll.output_sens[i], _padded(jsens, None, t_max, (model.output_dim, nc)),
             rtol=1e-12, atol=0, err_msg="output_sens")
+
+
+def _phase_two_case(family, seed, lengths, theta_gain, x0_rows,
+                    store_state_sens):
+    """A cost-only rollout, a full sensitivity rollout, and a sensitivity
+    rollout from the cost-only one's ``xs``: the last two must agree
+    bit for bit, and the last must not call ``transition``."""
+    model, calls = _counting_transition(lower_to_state_space(family))
+    rng = np.random.default_rng(seed)
+    n = 12
+    ds = Dataset(rng.normal(size=n), rng.normal(size=n), {})
+    zy, zu = regressor_matrices(model, ds)
+    lengths = np.array(lengths)
+    starts = rng.integers(0, n, size=len(lengths))
+    theta = (model.default_theta + 0.5 * rng.normal(size=model.theta_dim)) * theta_gain
+    x0 = rng.normal(size=(len(lengths), model.state_dim)) * x0_rows
+    args = (model, theta, x0, zy, zu, starts, lengths)
+    cost_only = run_intervals(*args, with_sens=False)
+    full = run_intervals(*args, with_sens=True, store_state_sens=store_state_sens)
+    np.testing.assert_array_equal(cost_only.xs, full.xs)
+    del calls[:]
+    reused = run_intervals(*args, with_sens=True, store_state_sens=store_state_sens,
+                           trajectory=cost_only.xs)
+    assert not calls
+    _assert_same_rollout(reused, full)
+    return full
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES,
+                         ids=lambda f: lower_to_state_space(f).name)
+def test_phase_two_from_trajectory_covers_edge_cases(family):
+    # unequal lengths with a zero-length interval and a row that diverges
+    # at its first step (a stateless model cannot diverge), with and
+    # without stored state sensitivities
+    stateful = lower_to_state_space(family).state_dim > 0
+    for store in (False, True):
+        full = _phase_two_case(family, 7, [5, 8, 0, 3], 1.0,
+                               np.array([[0.3], [1e160], [0.3], [0.3]]), store)
+        assert full.diverged.tolist() == [False, stateful, False, False]
+    # t_max == 0
+    full = _phase_two_case(family, 7, [0, 0], 1.0, 0.3, True)
+    assert full.states.shape[1] == 0
+    model = lower_to_state_space(family)
+    zy, zu = regressor_matrices(model, Dataset(np.zeros(4), np.zeros(4), {}))
+    x0 = np.zeros((1, model.state_dim))
+    with pytest.raises(ValueError):
+        run_intervals(model, model.default_theta, x0, zy, zu, [0], [3],
+                      with_sens=True, trajectory=np.zeros((3, 1, model.state_dim)))

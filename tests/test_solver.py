@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msid
+import msid.objective
 from msid import (EstimationProblem, MultipleShooting, NlpProblem,
                   ShootingPlan, SingleShooting, SolverOptions, as_nlp,
-                  gen_logistic, solve)
-from msid.models import LogisticMap, lower_to_state_space
+                  gen_logistic, gen_pendulum, solve)
+from msid.experiments import study_options
+from msid.models import LogisticMap, Pendulum, lower_to_state_space
 from msid.solver import (JacobianSvd, ShootingJacobian, factorize,
                          horizontal_step, lagrange_multipliers, merit,
                          vertical_step)
@@ -420,3 +422,52 @@ def test_start_far_from_feasible_set():
     res = solve(nlp, np.array([50.0, -30.0]))
     assert res.converged
     np.testing.assert_allclose(res.point, [-np.sqrt(2), -np.sqrt(2)], atol=1e-6)
+
+
+def _fresh_problem_nlp(model, dataset, form):
+    """The NLP of ``as_nlp``, but every callback evaluates on a newly built
+    problem, so nothing is carried from one call to the next."""
+    def fresh():
+        return EstimationProblem(model, dataset, form)
+    prob = fresh()
+    if isinstance(form, MultipleShooting):
+        return NlpProblem(
+            n=prob.n_decision, m=prob.n_constraints,
+            f=lambda x: fresh().cost(x), grad=lambda x: fresh().gradient(x),
+            hess_vec=lambda x, lam, p: fresh().lagrangian_hessian_vec(x, lam, p),
+            c=lambda x: fresh().constraints(x),
+            jac=lambda x: fresh().constraint_jacobian(x))
+    return NlpProblem(
+        n=prob.n_decision, m=0,
+        f=lambda x: fresh().cost(x), grad=lambda x: fresh().gradient(x),
+        hess_vec=lambda x, lam, p: fresh().gn_hessian_vec(x, p))
+
+
+@pytest.mark.parametrize("form", [
+    SingleShooting(optimize_x0=True),
+    MultipleShooting(ShootingPlan.from_max_len(256, 16)),
+], ids=["single-shooting", "ms16"])
+def test_cached_solve_equals_uncached_solve(form, monkeypatch):
+    # the problem's cache, and its reuse of a costed point's states for the
+    # gradient there, must not change a single bit of a capped solve
+    model = lower_to_state_space(Pendulum())
+    ds = gen_pendulum("b", seed=0, n=256)
+    prob = EstimationProblem(model, ds, form)
+    x0 = prob.default_point(np.array([25.0, 4.0]))
+    opts = study_options(max_iter=10)
+    reused = []
+    run_intervals = msid.objective.run_intervals
+
+    def counted(*args, trajectory=None, **kwargs):
+        reused.append(trajectory is not None)
+        return run_intervals(*args, trajectory=trajectory, **kwargs)
+    monkeypatch.setattr(msid.objective, "run_intervals", counted)
+    got = solve(as_nlp(prob), x0, opts)
+    assert any(reused)
+    want = solve(_fresh_problem_nlp(model, ds, form), x0, opts)
+    assert (got.status, got.iterations, got.n_eval) == \
+        (want.status, want.iterations, want.n_eval)
+    for name in ("point", "multipliers", "cost", "kkt_residual",
+                 "constraint_violation"):
+        assert np.asarray(getattr(got, name)).tobytes() == \
+            np.asarray(getattr(want, name)).tobytes(), name
