@@ -14,7 +14,8 @@ formulations:
 All costs are mean squared prediction errors; gradients and Gauss-Newton
 Hessian products come from the forward sensitivity recursion, and the
 constraint-curvature term is approximated by a directional finite
-difference of the transposed constraint Jacobian.
+difference of the transposed constraint Jacobian, whose extra rollout
+propagates the state sensitivities alone.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .models import RegressorWindow, StateSpaceModel, regressor_matrices
-from .simulate import _STATE_LIMIT, run_intervals
+from .simulate import _STATE_LIMIT, IntervalPlan, run_intervals
 from .solver import ShootingJacobian
 
 
@@ -107,7 +108,6 @@ class ParameterPoint:
 class _FullEval:
     """Everything derivable from one batched rollout at a decision point."""
 
-    phi: np.ndarray
     cost: float
     interval_costs: np.ndarray | None = None
     residuals: np.ndarray | None = None      # (B, T, N_out), masked
@@ -121,12 +121,15 @@ class _FullEval:
 class EstimationProblem:
     """A model, a dataset, and one estimation formulation.
 
-    Evaluation at a decision point is cached (keyed by the point's bytes),
-    so cost, gradient, constraints and their Jacobian at the same point
-    share a single batched rollout.  The phase-1 states of the latest
-    cost-only rollout are kept in one slot: a gradient requested at that
-    point next (the solver's accepted trial point) runs only the
-    sensitivity phase, with the bits of a full rollout.
+    The interval plan (regressor gathers, masks, residual targets and any
+    data-built seeds) is built once.  Evaluations are cached by the point's
+    bytes in 8 entries, the oldest evicted for a new point, so cost,
+    gradient, constraints and their Jacobian at one point share one rollout.
+    A finite-difference curvature point new to the cache gets a rollout
+    without outputs, whose entry serves only curvature requests.  The
+    phase-1 states of the latest cost-only rollout are kept in one slot: a
+    gradient requested at that point next (the solver's accepted trial
+    point) runs only the sensitivity phase, with the bits of a full rollout.
     """
 
     def __init__(self, model: StateSpaceModel, dataset: Dataset,
@@ -138,10 +141,10 @@ class EstimationProblem:
         self._cache: dict[bytes, _FullEval] = {}
         # (key, phase-1 states) of the latest cost-only rollout
         self._trajectory: tuple[bytes, np.ndarray] | None = None
-        self._msa_windows = None
         if isinstance(formulation, MultipleShooting):
             if formulation.plan.boundaries[-1] != dataset.n:
                 raise ValueError("shooting plan must cover the dataset exactly")
+        self._plan = self._build_plan()
 
     # -- layout ------------------------------------------------------------
 
@@ -175,10 +178,7 @@ class EstimationProblem:
         """Per-interval initial states built from measured data."""
         y, u = self.dataset.y, self.dataset.u
         f = self.formulation
-        if isinstance(f, MultipleShooting):
-            starts = f.plan.starts
-        else:
-            starts = np.array([0])[: max(self.n_seeds, 1)]
+        starts = f.plan.starts if isinstance(f, MultipleShooting) else np.array([0])
         return np.stack([self.model.init_state(y, u, int(m)) for m in starts]) \
             if self.model.state_dim else np.zeros((len(starts), 0))
 
@@ -190,22 +190,22 @@ class EstimationProblem:
 
     # -- shared evaluation -------------------------------------------------
 
-    def _starts_lengths_seeds(self, pt: ParameterPoint):
-        f = self.formulation
-        n = self.dataset.n
-        if isinstance(f, MultipleShooting):
-            return f.plan.starts, f.plan.lengths, pt.x0s
-        if isinstance(f, SingleShooting):
-            x0 = pt.x0s if f.optimize_x0 else self.heuristic_seeds()
-            return np.array([0]), np.array([n]), x0
-        if self._msa_windows is None:
-            # the windows and their data-built seeds depend on the record
-            # alone, so they are built once rather than at every point
+    def _build_plan(self) -> IntervalPlan:
+        """The intervals' plan, holding the data-built seeds when the seeds
+        are not decided and the measured outputs the residuals compare with."""
+        f, y, n = self.formulation, self.dataset.y, self.dataset.n
+        if isinstance(f, MsaPem):
             k = np.arange(1, n + 1)
             starts = np.maximum(0, k - f.horizon)
-            self._msa_windows = (starts, k - starts,
-                                 self.heuristic_seeds_msa(starts))
-        return self._msa_windows
+            return IntervalPlan.of(self.model, self._zy, self._zu, starts, k - starts,
+                                   seeds=self.heuristic_seeds_msa(starts), targets=y[:, None])
+        starts, lengths = ((f.plan.starts, f.plan.lengths) if isinstance(f, MultipleShooting)
+                           else (np.array([0]), np.array([n])))
+        # shooting residual at global time starts[i] + t
+        kk = starts[:, None] + np.arange(1, int(lengths.max()) + 1)[None, :]
+        return IntervalPlan.of(self.model, self._zy, self._zu, starts, lengths,
+                               seeds=self.heuristic_seeds() if self.n_seeds == 0 else None,
+                               targets=y[np.clip(kk - 1, 0, len(y) - 1)][:, :, None])
 
     def heuristic_seeds_msa(self, starts) -> np.ndarray:
         y, u = self.dataset.y, self.dataset.u
@@ -215,48 +215,49 @@ class EstimationProblem:
         table = np.stack([self.model.init_state(y, u, int(m)) for m in uniq])
         return table[inv]
 
-    def _evaluate(self, phi, with_sens: bool = False) -> _FullEval:
+    def _evaluate(self, phi, with_sens: bool = False, curvature: bool = False) -> _FullEval:
         phi = np.asarray(phi, dtype=float)
         key = phi.tobytes()
         hit = self._cache.get(key)
-        if hit is not None and (hit.output_sens is not None or not with_sens):
+        need = "end_state_sens" if curvature else "output_sens" if with_sens else "residuals"
+        if hit is not None and getattr(hit, need) is not None:
             return hit
+        with_sens = with_sens or curvature
+        outputs = not (curvature and hit is None)
         pt = self.split(phi)
-        starts, lengths, seeds = self._starts_lengths_seeds(pt)
+        plan = self._plan
         kept = self._trajectory
         xs = kept[1] if with_sens and kept is not None and kept[0] == key else None
-        roll = run_intervals(self.model, pt.theta, seeds, self._zy, self._zu,
-                             starts, lengths, with_sens=with_sens, trajectory=xs)
+        roll = run_intervals(self.model, pt.theta, pt.x0s if plan.seeds is None else plan.seeds,
+                             self._zy, self._zu, plan.starts, plan.lengths, with_sens=with_sens,
+                             trajectory=xs, outputs=outputs, plan=plan)
         self._trajectory = None if with_sens else (key, roll.xs)
-        ev = self._assemble(phi, pt, roll, starts, lengths)
-        if len(self._cache) >= 8:
+        ev = (self._assemble(roll) if outputs
+              else _FullEval(np.nan, end_state_sens=roll.end_state_sens))
+        if hit is None and len(self._cache) >= 8:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = ev
         return ev
 
-    def _assemble(self, phi, pt, roll, starts, lengths) -> _FullEval:
-        f = self.formulation
-        y = self.dataset.y
-        t_max = roll.states.shape[1]
+    def _assemble(self, roll) -> _FullEval:
+        f, plan = self.formulation, self._plan
+        lengths = plan.lengths
         if isinstance(f, MsaPem):
             # only the last step of each window predicts
             idx = lengths - 1
-            b = len(starts)
+            b = len(lengths)
             preds = roll.predictions[np.arange(b), idx]         # (B, N_out)
             jout = (roll.output_sens[np.arange(b), idx][:, None, :, :]
                     if roll.output_sens is not None else None)
-            res = preds - y[:, None]
+            res = preds - plan.targets
             ok = ~roll.diverged
             n_res = int(ok.sum())
             cost = float(np.sum(res[ok] ** 2) / n_res) if n_res else np.inf
-            return _FullEval(phi, np.inf if roll.any_diverged else cost,
+            return _FullEval(np.inf if roll.any_diverged else cost,
                              residuals=res[:, None, :], output_sens=jout,
                              n_res=n_res, diverged=roll.any_diverged)
 
-        # shooting formulations: residual at global time starts[i] + t
-        kk = starts[:, None] + np.arange(1, t_max + 1)[None, :]
-        ymat = y[np.clip(kk - 1, 0, len(y) - 1)][:, :, None]    # (B, T, 1)
-        res = np.where(roll.valid[:, :, None], roll.predictions - ymat, 0.0)
+        res = np.where(roll.valid[:, :, None], roll.predictions - plan.targets, 0.0)
         discard = 0
         if isinstance(f, SingleShooting) and not f.optimize_x0:
             discard = self.model.n_transient
@@ -271,13 +272,19 @@ class EstimationProblem:
         if discard and jout is not None:
             jout = jout.copy()
             jout[:, :discard] = 0.0
-        return _FullEval(phi, cost, interval_costs=interval_costs, residuals=res,
+        return _FullEval(cost, interval_costs=interval_costs, residuals=res,
                          output_sens=jout, end_states=roll.end_states,
                          end_state_sens=roll.end_state_sens, n_res=n_res,
                          diverged=roll.any_diverged)
 
-    def _grad_from_eval(self, ev: _FullEval) -> np.ndarray:
-        nth, nx = self.model.theta_dim, self.model.state_dim
+    # -- public operations -------------------------------------------------
+
+    def cost(self, phi) -> float:
+        return self._evaluate(phi).cost
+
+    def gradient(self, phi) -> np.ndarray:
+        ev = self._evaluate(phi, with_sens=True)
+        nth = self.model.theta_dim
         g = np.zeros(self.n_decision)
         if ev.diverged or ev.n_res == 0:
             return np.full(self.n_decision, np.nan)
@@ -290,14 +297,6 @@ class EstimationProblem:
             g[nth:] = gx[: self.n_seeds].ravel()
         return g
 
-    # -- public operations -------------------------------------------------
-
-    def cost(self, phi) -> float:
-        return self._evaluate(phi).cost
-
-    def gradient(self, phi) -> np.ndarray:
-        return self._grad_from_eval(self._evaluate(phi, with_sens=True))
-
     def batch_costs(self, thetas, seeds) -> np.ndarray:
         """Costs at thetas (G, n_theta) with the seed part of the decision
         vector held fixed: entry i is ``cost(concatenate([thetas[i],
@@ -309,7 +308,8 @@ class EstimationProblem:
             raise TypeError("batch_costs needs a shooting formulation")
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         pt = self.split(np.concatenate([thetas[0], np.ravel(seeds)]))
-        starts, _, x0s = self._starts_lengths_seeds(pt)
+        starts = self._plan.starts
+        x0s = pt.x0s if self._plan.seeds is None else self._plan.seeds
         model, y, n = self.model, self.dataset.y, self.dataset.n
         discard = (model.n_transient
                    if isinstance(f, SingleShooting) and not f.optimize_x0 else 0)
@@ -403,7 +403,9 @@ class EstimationProblem:
         phi = np.asarray(phi, dtype=float)
         h = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(phi)) / pn
         jt0 = self.constraint_jac_t_vec(phi, lam)
-        jt1 = self.constraint_jac_t_vec(phi + h * p, lam)
+        ev = self._evaluate(phi + h * p, curvature=True)
+        jt1 = ShootingJacobian(ev.end_state_sens[: self.formulation.plan.m - 1],
+                               self.model.theta_dim).T @ lam
         return out + (jt1 - jt0) / h
 
     def _require(self, kind):

@@ -21,7 +21,10 @@ Phase 2 is a pure function of the phase-1 states.  Every rollout returns
 them time-major as ``xs`` (T+1, B, N_x); passing them back as
 ``trajectory`` to a call with the same model, theta, seeds and intervals
 skips phase 1, so sensitivities at a point whose cost-only rollout has
-just run cost phase 2 alone and carry the bits of a full call.
+just run cost phase 2 alone and carry the bits of a full call.  What
+depends only on the record and the intervals is an ``IntervalPlan``, built
+once by a caller that rolls them out often; ``outputs=False`` stops at the
+end states and end sensitivities, all a curvature rollout needs.
 """
 from __future__ import annotations
 
@@ -61,7 +64,7 @@ class BatchRollout:
     starts: np.ndarray        # (B,)
     lengths: np.ndarray       # (B,)
     states: np.ndarray        # (B, T, N_x); rows past an interval's end are frozen
-    predictions: np.ndarray   # (B, T, N_out)
+    predictions: np.ndarray | None       # (B, T, N_out), None without outputs
     output_sens: np.ndarray | None       # (B, T, N_out, nc)
     state_sens: np.ndarray | None        # (B, T, N_x, nc), only when requested
     end_states: np.ndarray    # (B, N_x)
@@ -76,9 +79,43 @@ class BatchRollout:
         return bool(self.diverged.any())
 
 
+@dataclass(frozen=True)
+class IntervalPlan:
+    """What a rollout of B intervals needs that depends only on the record
+    and the intervals, not on theta or the seeds; a caller that rolls out
+    the same intervals many times builds it once and passes it on, and may
+    keep its own data-built values in it (``seeds``, ``targets``)."""
+
+    starts: np.ndarray        # (B,)
+    lengths: np.ndarray       # (B,)
+    zyt: np.ndarray           # (T, B, n_zy) regressor rows, time-major
+    zut: np.ndarray           # (T, B, n_zu)
+    window: RegressorWindow   # the same rows flattened to (T*B, .) for phase 2
+    in_length: np.ndarray     # (T, B) bool, step t+1 lies within interval b
+    full: bool                # every interval runs all T steps
+    d0: np.ndarray            # (B, N_x, nc) sensitivity seed [0 | I]
+    seeds: np.ndarray | None = None
+    targets: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, model: StateSpaceModel, zy, zu, starts, lengths, **kept) -> "IntervalPlan":
+        starts, lengths = np.asarray(starts, dtype=int), np.asarray(lengths, dtype=int)
+        b, nx, nth = len(starts), model.state_dim, model.theta_dim
+        t_max = int(lengths.max()) if lengths.size else 0
+        # rows of (zy, zu) read by every interval at every step
+        row_table = np.clip(starts + np.arange(t_max)[:, None], 0, max(zy.shape[0] - 1, 0))
+        zyt, zut = zy[row_table], zu[row_table]
+        window = RegressorWindow(zyt.reshape(t_max * b, zy.shape[1]),
+                                 zut.reshape(t_max * b, zu.shape[1]))
+        return cls(starts, lengths, zyt, zut, window, np.arange(1, t_max + 1)[:, None] <= lengths,
+                   bool((lengths == t_max).all()), np.tile(np.eye(nx, nx + nth, nth), (b, 1, 1)),
+                   **kept)
+
+
 def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
                   with_sens: bool, store_state_sens: bool = False,
-                  trajectory: np.ndarray | None = None) -> BatchRollout:
+                  trajectory: np.ndarray | None = None, outputs: bool = True,
+                  plan: IntervalPlan | None = None) -> BatchRollout:
     """Roll out B intervals in lockstep.
 
     ``x0`` is (B, N_x); interval i covers times starts[i]+1 ..
@@ -89,65 +126,59 @@ def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
     ``trajectory`` is the ``xs`` of an earlier call with the same model,
     theta, x0, zy, zu, starts and lengths; when given, the per-step state
     update is skipped and only phase 2 runs, with the same result.
+    ``outputs=False`` skips the output map and the output sensitivities
+    (``predictions`` and ``output_sens`` are None); the end states and end
+    sensitivities keep their bits.  ``plan`` is ``IntervalPlan.of(model,
+    zy, zu, starts, lengths)``.
     """
     theta = np.asarray(theta, dtype=float)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    starts = np.asarray(starts, dtype=int)
-    lengths = np.asarray(lengths, dtype=int)
+    if plan is None:
+        plan = IntervalPlan.of(model, zy, zu, starts, lengths)
+    starts, lengths = plan.starts, plan.lengths
     b = x0.shape[0]
     nx, nth, nout = model.state_dim, model.theta_dim, model.output_dim
     nc = nth + nx
-    t_max = int(lengths.max()) if lengths.size else 0
-    d0 = np.tile(np.eye(nx, nc, nth), (b, 1, 1)) if with_sens else None   # [0 | I]
+    t_max = plan.zyt.shape[0]
     if trajectory is not None and trajectory.shape != (t_max + 1, b, nx):
         raise ValueError(f"trajectory must have shape {(t_max + 1, b, nx)}")
-    if t_max == 0:
-        return BatchRollout(
-            starts, lengths, np.zeros((b, 0, nx)), np.zeros((b, 0, nout)),
-            np.zeros((b, 0, nout, nc)) if with_sens else None,
-            np.zeros((b, 0, nx, nc)) if (with_sens and store_state_sens) else None,
-            x0.copy(), d0, np.zeros((b, 0), dtype=bool),
-            np.zeros(b, dtype=bool), np.full(b, -1), x0[None].copy())
-
-    # everything below is time-major, (T, B, ...); rows of (zy, zu) read by
-    # every interval at every step are gathered once
-    row_table = np.clip(starts + np.arange(t_max)[:, None], 0, max(zy.shape[0] - 1, 0))
-    zyt, zut = zy[row_table], zu[row_table]
-    xs = trajectory
+    # everything below is time-major, (T, B, ...)
+    xs, z = trajectory, plan.window
+    preds = jout = dmat = None
     with np.errstate(invalid="ignore", over="ignore"):
         if xs is None:
             # phase 1: the state update alone
             xs = np.empty((t_max + 1, b, nx))
             xs[0] = x0
-            for t in range(t_max):
-                xs[t + 1] = model.transition(xs[t], RegressorWindow(zyt[t], zut[t]), theta)
+            for zy_t, zu_t, x_prev, x_next in zip(plan.zyt, plan.zut, xs[:-1], xs[1:]):
+                x_next[...] = model.transition(x_prev, RegressorWindow(zy_t, zu_t), theta)
 
         # phase 2: once over all T*B rows
         rows = t_max * b
-        z = RegressorWindow(zyt.reshape(rows, zy.shape[1]), zut.reshape(rows, zu.shape[1]))
         x_out = xs[1:].reshape(rows, nx)
-        preds = model.output(x_out, z, theta).reshape(t_max, b, nout)
-        jout = dmat = None
+        if outputs:
+            preds = model.output(x_out, z, theta).reshape(t_max, b, nout)
         if with_sens:
             a_mat, b_mat = model.transition_jacobians(xs[:-1].reshape(rows, nx), z, theta)
             a_mat = a_mat.reshape(t_max, b, nx, nx)
             b_mat = b_mat.reshape(t_max, b, nx, nth)
             dmat = np.empty((t_max + 1, b, nx, nc))
-            dmat[0] = d0
-            for t in range(t_max):
-                np.matmul(a_mat[t], dmat[t], out=dmat[t + 1])
-                dmat[t + 1, :, :, :nth] += b_mat[t]
+            dmat[0] = plan.d0
+            for a_t, b_t, d_prev, d_next, d_theta in zip(
+                    a_mat, b_mat, dmat[:-1], dmat[1:], dmat[1:, :, :, :nth]):
+                np.matmul(a_t, d_prev, out=d_next)
+                d_theta += b_t
+        if with_sens and outputs:
             c_mat, f_mat = model.output_jacobians(x_out, z, theta)
             jout = c_mat @ dmat[1:].reshape(rows, nx, nc)
             jout[:, :, :nth] += f_mat
             jout = jout.reshape(t_max, b, nout, nc)
         bad = ~(np.abs(xs[1:]).max(axis=2, initial=0.0) <= _STATE_LIMIT)
 
-    steps = np.arange(1, t_max + 1)[:, None]
-    bad &= steps <= lengths             # only in-length steps can diverge
+    bad &= plan.in_length               # only in-length steps can diverge
     states = xs[1:]
     state_sens = dmat[1:] if (with_sens and store_state_sens) else None
-    if not bad.any() and (lengths == t_max).all():
+    if not bad.any() and plan.full:
         # no interval diverged or ended early: nothing to hold or zero
         diverged = np.zeros(b, dtype=bool)
         div_step = np.full(b, -1)
@@ -159,17 +190,20 @@ def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
         div_step = np.where(diverged, bad.argmax(axis=0) + 1, -1)
         # index into xs of each interval's last good state
         last = np.where(diverged, div_step - 1, lengths)
+        steps = np.arange(1, t_max + 1)[:, None]
         held = np.minimum(steps, last)
         cols = np.arange(b)
         states = xs[held, cols]
         valid_t = steps <= last
         valid = np.ascontiguousarray(valid_t.T)
-        preds = np.where(valid_t[:, :, None], preds, 0.0)
+        if outputs:
+            preds = np.where(valid_t[:, :, None], preds, 0.0)
         end_states = np.where(diverged[:, None], x0, xs[lengths, cols])
         end_sens = None
         if with_sens:
-            jout = np.where(valid_t[:, :, None, None], jout, 0.0)
-            end_sens = np.where(diverged[:, None, None], d0, dmat[lengths, cols])
+            if outputs:
+                jout = np.where(valid_t[:, :, None, None], jout, 0.0)
+            end_sens = np.where(diverged[:, None, None], plan.d0, dmat[lengths, cols])
             if store_state_sens:
                 state_sens = dmat[held, cols]
 

@@ -22,8 +22,9 @@ correction.  The Jacobian's type picks the factorization:
 
 Steps are judged with the merit function phi = V + mu*||c||_2; the
 penalty mu only ever increases.  With zero constraints the method
-degrades to a plain trust-region Newton-CG.  A solve whose cost or
-gradient cannot be evaluated stops at once with status ``non-finite``.
+degrades to a plain trust-region Newton-CG.  A solve whose cost,
+gradient, multipliers or KKT residual are not finite stops at once with
+status ``non-finite``.
 """
 from __future__ import annotations
 
@@ -453,6 +454,9 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         grad_l = g + (jac.T @ lam if problem.m else 0.0)
         kkt = float(np.max(np.abs(grad_l))) if problem.n else 0.0
         cviol = float(np.max(np.abs(c))) if problem.m else 0.0
+        if not (np.isfinite(kkt) and np.all(np.isfinite(lam))):
+            status = "non-finite"
+            break
         if kkt < opts.tol and cviol < opts.constraint_tol:
             status = "converged"
             break

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from msid import (Dataset, EstimationProblem, MsaPem, MultipleShooting,
 from msid.models import LogisticMap, Pendulum, linear_arx, linear_oe_2nd, \
     lower_to_state_space
 
+import msid.objective
 from msid.solver import JacobianSvd, ShootingKkt, lagrange_multipliers
 
 import oracles
@@ -301,6 +304,125 @@ def test_only_the_latest_cost_keeps_its_states():
         del calls[:]
         prob.gradient(points[j])
         assert bool(calls) == (j < 9), j
+
+
+def test_upgrading_an_entry_evicts_nothing():
+    # costs at 8 points fill the cache; gradients at two of them upgrade
+    # their entries in place and must not evict the oldest
+    prob, _, phi, _ = _counted_pendulum_problem(PHASE_TWO_FORMS["single-shooting"])
+    points = [phi + 1e-3 * i for i in range(8)]
+    for point in points:
+        prob.cost(point)
+    for point in points[-2:]:
+        prob.gradient(point)
+    assert list(prob._cache) == [point.tobytes() for point in points]
+
+
+# ---------------------------------------------------------------------------
+# The problem's interval plan and curvature-only rollouts
+# ---------------------------------------------------------------------------
+
+def _recording_rollouts(monkeypatch):
+    """Record the keyword arguments of every rollout a problem makes."""
+    calls = []
+    run_intervals = msid.objective.run_intervals
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return run_intervals(*args, **kwargs)
+    monkeypatch.setattr(msid.objective, "run_intervals", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("family,max_len", [("logistic", 2), ("pendulum", 16)])
+def test_curvature_term_keeps_the_bits(family, max_len, rng, monkeypatch):
+    make_family, generate, theta = SHOOTING_FAMILIES[family]
+    model, ds = lower_to_state_space(make_family()), generate(64)
+    form = MultipleShooting(ShootingPlan.from_max_len(64, max_len))
+
+    def fresh():
+        return EstimationProblem(model, ds, form)
+    prob = fresh()
+    phi = prob.default_point(None if theta is None else np.array(theta))
+    phi = phi + rng.normal(scale=0.01, size=phi.size)
+    lam = rng.normal(size=prob.n_constraints)
+    calls = _recording_rollouts(monkeypatch)
+    for p in rng.normal(size=(2, phi.size)):
+        h = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(phi)) / np.linalg.norm(p)
+        want = fresh().gn_hessian_vec(phi, p) + (
+            fresh().constraint_jac_t_vec(phi + h * p, lam)
+            - fresh().constraint_jac_t_vec(phi, lam)) / h
+        del calls[:]
+        assert np.array_equal(prob.lagrangian_hessian_vec(phi, lam, p), want)
+        assert calls[-1]["outputs"] is False
+        # a repeated direction is served by the cache
+        del calls[:]
+        assert np.array_equal(prob.lagrangian_hessian_vec(phi, lam, p), want)
+        assert not calls
+    # the curvature point's entry serves nothing but curvature
+    x = phi + h * p
+    assert np.array_equal(prob.cost(x), fresh().cost(x))
+    assert np.array_equal(prob.gradient(x), fresh().gradient(x))
+
+
+def test_curvature_at_a_costed_point_keeps_its_entry_whole(monkeypatch):
+    # a cached point gets a full sensitivity rollout for curvature too, so
+    # its entry goes on serving costs and gradients
+    prob, _, phi, _ = _counted_pendulum_problem(PHASE_TWO_FORMS["ms16"])
+    calls = _recording_rollouts(monkeypatch)
+    prob.cost(phi)
+    prob._evaluate(phi, curvature=True)
+    assert calls[-1]["outputs"] is True
+    del calls[:]
+    prob.cost(phi)
+    prob.gradient(phi)
+    assert not calls
+
+
+def test_fixed_seeds_are_built_once():
+    model = lower_to_state_space(Pendulum())
+    calls = []
+
+    def init_state(*args):
+        calls.append(args[2])
+        return model.init_state(*args)
+    counted = dataclasses.replace(model, init_state=init_state)
+    prob = EstimationProblem(counted, gen_pendulum("b", seed=0, n=64),
+                             SingleShooting(optimize_x0=False))
+    phi = np.array([31.0, 2.2])
+    for i in range(3):
+        prob.cost(phi + i)
+        prob.gradient(phi + i)
+    prob.batch_costs(phi[None, :], np.zeros(0))
+    assert calls == [0]
+
+
+@pytest.mark.parametrize("form", PHASE_TWO_FORMS.values(), ids=PHASE_TWO_FORMS)
+def test_every_operation_equals_a_fresh_problems(form, rng):
+    # random operations at 20 points, revisiting points and directions so
+    # that cache hits, upgrades, evictions, phase-2-only and
+    # curvature-only rollouts all occur
+    prob, _, phi, _ = _counted_pendulum_problem(form)
+    points = phi + 1e-3 * rng.normal(size=(20, phi.size))
+    directions = rng.normal(size=(3, phi.size))
+    ops = [lambda q, x, p, lam: q.cost(x), lambda q, x, p, lam: q.gradient(x),
+           lambda q, x, p, lam: q.gn_hessian_vec(x, p)]
+    if isinstance(form, MultipleShooting):
+        lam = rng.normal(size=prob.n_constraints)
+        ops += [lambda q, x, p, lam: q.constraints(x),
+                lambda q, x, p, lam: q.constraint_jacobian(x).toarray(),
+                lambda q, x, p, lam: q.constraint_jac_t_vec(x, lam),
+                lambda q, x, p, lam: q.lagrangian_hessian_vec(x, lam, p),
+                lambda q, x, p, lam: q.cost_multiple(x)[1]]
+    else:
+        lam = np.zeros(0)
+    for _ in range(80):
+        x = points[rng.integers(len(points))]
+        p = directions[rng.integers(len(directions))]
+        op = ops[rng.integers(len(ops))]
+        got = op(prob, x, p, lam)
+        want = op(EstimationProblem(prob.model, prob.dataset, form), x, p, lam)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

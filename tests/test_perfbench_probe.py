@@ -5,9 +5,14 @@ import inspect
 import pathlib
 
 import numpy as np
+import pytest
 
+import msid.objective
 import msid.solver
-from msid import NlpProblem
+from msid import (EstimationProblem, MultipleShooting, NlpProblem, ShootingPlan,
+                  as_nlp, gen_logistic)
+from msid.experiments import study_options
+from msid.models import LogisticMap, lower_to_state_space
 
 PROBE_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
 
@@ -47,3 +52,39 @@ def test_probe_sees_solver_calls():
                  "solver.jacobian"):
         assert p.calls[name] > 0, name
     assert p.counts["solver.hess_vec.calls"] > 0
+
+
+def _rollout_kind(kwargs):
+    if not kwargs.get("outputs", True):
+        return "curvature-only"
+    if kwargs.get("trajectory") is not None:
+        return "phase-2-only"
+    return "sensitivity" if kwargs["with_sens"] else "cost-only"
+
+
+@pytest.mark.parametrize("spans", [False, True], ids=["counts", "spans"])
+def test_probe_counts_every_kind_of_rollout(spans, monkeypatch):
+    # the probe reads the shape of ``states`` and ``output_sens`` of every
+    # rollout; each kind must keep both and count as one rollout
+    probe = _load_probe()
+    kinds, steps = [], []
+    run_intervals = msid.objective.run_intervals
+
+    def recorded(*args, **kwargs):
+        roll = run_intervals(*args, **kwargs)
+        kinds.append(_rollout_kind(kwargs))
+        steps.append(roll.states.shape[1])
+        return roll
+    monkeypatch.setattr(msid.objective, "run_intervals", recorded)
+    prob = EstimationProblem(lower_to_state_space(LogisticMap()), gen_logistic(n=40),
+                             MultipleShooting(ShootingPlan.from_max_len(40, 2)))
+    p = probe.Probe(spans=spans)
+    with p.active():
+        res = msid.solver.solve(as_nlp(prob), prob.default_point(np.array([3.5])),
+                                study_options(max_iter=8))
+    assert res.iterations > 0
+    assert {"cost-only", "phase-2-only", "curvature-only"} <= set(kinds)
+    assert p.counts["simulate.rollouts"] == len(kinds)
+    assert p.counts["simulate.steps"] == sum(steps)
+    assert p.counts["simulate.rollouts_sens"] == sum(
+        k in ("sensitivity", "phase-2-only") for k in kinds)

@@ -9,7 +9,7 @@ from msid import (BatchRollout, Dataset, DivergenceError, gen_logistic,
                   run_intervals, simulate, simulate_with_sensitivities)
 from msid.models import LogisticMap, Pendulum, linear_oe_2nd, lower_to_state_space
 from msid.models import regressor_matrices
-from msid.simulate import _STATE_LIMIT
+from msid.simulate import _STATE_LIMIT, IntervalPlan
 
 import oracles
 from test_models import ALL_FAMILIES
@@ -148,6 +148,18 @@ def _assert_same_rollout(actual, expected):
             _assert_same(a, e, f.name)
 
 
+def _assert_curvature_only_matches(args, full):
+    """A rollout without outputs, from a prebuilt plan, has the end values
+    and divergence of a full sensitivity rollout, bit for bit."""
+    model, _, _, zy, zu, starts, lengths = args
+    plan = IntervalPlan.of(model, zy, zu, starts, lengths)
+    curv = run_intervals(*args, with_sens=True, outputs=False, plan=plan)
+    assert curv.predictions is None and curv.output_sens is None
+    assert curv.states.shape[:2] == full.states.shape[:2]
+    for name in ("end_states", "end_state_sens", "diverged", "divergence_step"):
+        _assert_same(getattr(curv, name), getattr(full, name), name)
+
+
 def _padded(rows, held, t_max, shape):
     """Oracle per-step values padded to t_max steps; ``held`` fills the
     steps after the last one (None fills zeros)."""
@@ -188,6 +200,8 @@ def test_run_intervals_matches_per_interval_reference(family, seed, lengths,
     _assert_same_rollout(run_intervals(*args, with_sens=with_sens, store_state_sens=with_sens,
                                        trajectory=xs), roll)
     assert not calls
+    _assert_curvature_only_matches(
+        args, roll if with_sens else run_intervals(*args, with_sens=True))
     t_max = int(lengths.max())
     eye = np.concatenate([np.zeros((nx, model.theta_dim)), np.eye(nx)], axis=1)
     for i in range(b):
@@ -219,7 +233,8 @@ def _phase_two_case(family, seed, lengths, theta_gain, x0_rows,
                     store_state_sens):
     """A cost-only rollout, a full sensitivity rollout, and a sensitivity
     rollout from the cost-only one's ``xs``: the last two must agree
-    bit for bit, and the last must not call ``transition``."""
+    bit for bit, and the last must not call ``transition``; a
+    curvature-only rollout must have the full one's end values."""
     model, calls = _counting_transition(lower_to_state_space(family))
     rng = np.random.default_rng(seed)
     n = 12
@@ -238,6 +253,7 @@ def _phase_two_case(family, seed, lengths, theta_gain, x0_rows,
                            trajectory=cost_only.xs)
     assert not calls
     _assert_same_rollout(reused, full)
+    _assert_curvature_only_matches(args, full)
     return full
 
 
@@ -246,7 +262,8 @@ def _phase_two_case(family, seed, lengths, theta_gain, x0_rows,
 def test_phase_two_from_trajectory_covers_edge_cases(family):
     # unequal lengths with a zero-length interval and a row that diverges
     # at its first step (a stateless model cannot diverge), with and
-    # without stored state sensitivities
+    # without stored state sensitivities; each case also checks a
+    # curvature-only rollout
     stateful = lower_to_state_space(family).state_dim > 0
     for store in (False, True):
         full = _phase_two_case(family, 7, [5, 8, 0, 3], 1.0,

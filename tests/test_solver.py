@@ -356,6 +356,21 @@ def test_accepted_steps_decrease_merit(case, start):
                     < a["V"] + mu * a["constraint_norm"])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name,start", [
+    ("linear-on-circle", (0.0, -5e-324)),
+    ("target-on-sphere", (-5e-324, 5e-324)),
+])
+def test_non_finite_multipliers_stop_at_once(name, start):
+    # at a subnormal start the Jacobian 2x is subnormal, and the least-squares
+    # multipliers overflow to inf; the point could never move from there
+    case = next(c for c in KKT_CASES if c.id == name)
+    res = _traced_solve(case, start)
+    assert res.status == "non-finite"
+    assert res.iterations == 0 and res.n_eval == 1
+    assert not np.all(np.isfinite(res.multipliers))
+
+
 def test_trace_records_radius_and_ratio():
     nlp = _rosenbrock_nlp()
     res = solve(nlp, np.array([-1.2, 1.0]), SolverOptions(trace=True))
