@@ -20,6 +20,7 @@ propagates the state sensitivities alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .dataset import Dataset
 from .models import RegressorWindow, StateSpaceModel, regressor_matrices
 from .simulate import _STATE_LIMIT, IntervalPlan, run_intervals
-from .solver import ShootingJacobian
+from .solver import KktLayout, ShootingJacobian
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,8 @@ class EstimationProblem:
     """A model, a dataset, and one estimation formulation.
 
     The interval plan (regressor gathers, masks, residual targets and any
-    data-built seeds) is built once.  Evaluations are cached by the point's
+    data-built seeds) and, for multiple shooting, the KKT band layout of the
+    constraint Jacobian are built once.  Evaluations are cached by the point's
     bytes in 8 entries, the oldest evicted for a new point, so cost,
     gradient, constraints and their Jacobian at one point share one rollout.
     A finite-difference curvature point new to the cache gets a rollout
@@ -130,6 +132,8 @@ class EstimationProblem:
     phase-1 states of the latest cost-only rollout are kept in one slot: a
     gradient requested at that point next (the solver's accepted trial
     point) runs only the sensitivity phase, with the bits of a full rollout.
+    J(phi)' lam, which every Lagrangian Hessian product of an SQP iteration
+    reads at the same (phi, lam), is kept in one slot keyed by their bytes.
     """
 
     def __init__(self, model: StateSpaceModel, dataset: Dataset,
@@ -141,14 +145,19 @@ class EstimationProblem:
         self._cache: dict[bytes, _FullEval] = {}
         # (key, phase-1 states) of the latest cost-only rollout
         self._trajectory: tuple[bytes, np.ndarray] | None = None
+        # ((phi bytes, lam bytes), J(phi)' lam, sqrt(eps) (1 + ||phi||))
+        self._jt_lam: tuple[tuple[bytes, bytes], np.ndarray, float] | None = None
         if isinstance(formulation, MultipleShooting):
             if formulation.plan.boundaries[-1] != dataset.n:
                 raise ValueError("shooting plan must cover the dataset exactly")
+        # without constraints the solver never factors a KKT matrix
+        self._kkt_layout = (KktLayout.of(formulation.plan.m - 1, model.state_dim)
+                            if self.n_constraints else None)
         self._plan = self._build_plan()
 
     # -- layout ------------------------------------------------------------
 
-    @property
+    @cached_property
     def n_seeds(self) -> int:
         f = self.formulation
         if isinstance(f, MultipleShooting):
@@ -157,11 +166,11 @@ class EstimationProblem:
             return 1
         return 0
 
-    @property
+    @cached_property
     def n_decision(self) -> int:
         return self.model.theta_dim + self.n_seeds * self.model.state_dim
 
-    @property
+    @cached_property
     def n_constraints(self) -> int:
         f = self.formulation
         return (f.plan.m - 1) * self.model.state_dim if isinstance(f, MultipleShooting) else 0
@@ -380,7 +389,7 @@ class EstimationProblem:
         self._require(MultipleShooting)
         ev = self._evaluate(phi, with_sens=True)
         return ShootingJacobian(ev.end_state_sens[: self.formulation.plan.m - 1],
-                                self.model.theta_dim)
+                                self.model.theta_dim, self._kkt_layout)
 
     def constraint_jac_t_vec(self, phi, lam) -> np.ndarray:
         """J_c(phi)^T lam."""
@@ -401,8 +410,12 @@ class EstimationProblem:
         if pn == 0 or not lam.size or not np.any(lam):
             return out
         phi = np.asarray(phi, dtype=float)
-        h = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(phi)) / pn
-        jt0 = self.constraint_jac_t_vec(phi, lam)
+        key = (phi.tobytes(), lam.tobytes())
+        if self._jt_lam is None or self._jt_lam[0] != key:
+            self._jt_lam = (key, self.constraint_jac_t_vec(phi, lam),
+                            np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(phi)))
+        _, jt0, scale = self._jt_lam
+        h = scale / pn
         ev = self._evaluate(phi + h * p, curvature=True)
         jt1 = ShootingJacobian(ev.end_state_sens[: self.formulation.plan.m - 1],
                                self.model.theta_dim).T @ lam

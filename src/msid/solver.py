@@ -16,18 +16,23 @@ correction.  The Jacobian's type picks the factorization:
   block-bidiagonal in the interval seeds plus dense theta columns) gets
   one banded LU of the KKT matrix [[I, J'], [J, 0]], with the seeds and
   multipliers interleaved and theta brought in through a Schur
-  complement; its cost is linear in the number of intervals;
+  complement; its cost is linear in the number of intervals.  Where each
+  entry goes in LAPACK's band storage depends only on the number of
+  intervals and states, so a ``KktLayout`` built once per problem rides
+  on the Jacobian, and a factorization copies its band template of
+  constant entries and scatters the seed sensitivities into it;
 * any other (dense) Jacobian gets a thin SVD J = U S V', truncated like
   lstsq, which keeps lstsq's min-norm answers when J is rank-deficient.
 
 Steps are judged with the merit function phi = V + mu*||c||_2; the
 penalty mu only ever increases.  With zero constraints the method
 degrades to a plain trust-region Newton-CG.  A solve whose cost,
-gradient, multipliers or KKT residual are not finite stops at once with
-status ``non-finite``.
+gradient, multipliers, KKT residual or step norm are not finite stops at
+once with status ``non-finite``.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -126,6 +131,8 @@ class ShootingJacobian:
 
     blocks: np.ndarray      # (M - 1, n_x, n_theta + n_x)
     n_theta: int
+    # the KKT band layout of this (M - 1, n_x); built by ShootingKkt.of if absent
+    layout: Optional["KktLayout"] = field(default=None, compare=False, repr=False)
 
     @property
     def shape(self) -> tuple:
@@ -177,6 +184,47 @@ class _TransposedShootingJacobian:
         return self.jac.rmatvec(lam)
 
 
+@dataclass(frozen=True)
+class KktLayout:
+    """Where the entries of K_b (see ``ShootingKkt``) live in dgbtrf band
+    storage, for M - 1 block rows of n_x states.
+
+    The constant entries (the identity on the seeds, and the -I of each
+    block row of J and of J') sit in ``template``; ``blocks_at`` holds the
+    flat column-major band positions of the seed sensitivities
+    d x^i_end / d x_0^i, entry [0, i, a, b] in J (row lam_i[a], column
+    x_0^i[b]) and entry [1, i, a, b] in J' (row x_0^i[b], column
+    lam_i[a]).  It depends on (M - 1, n_x) alone, so a problem builds it
+    once and every factorization copies the template and scatters its
+    blocks.
+    """
+
+    template: np.ndarray    # (3 (2 n_x - 1) + 1, (2 (M - 1) + 1) n_x), Fortran order
+    blocks_at: np.ndarray   # (2, M - 1, n_x, n_x)
+
+    @classmethod
+    def of(cls, k: int, nx: int) -> "KktLayout":
+        size = (2 * k + 1) * nx
+        w = 2 * nx - 1
+        ld = 3 * w + 1
+
+        def at(rows, cols):
+            # K[r, c] lives at ab[kl + ku + r - c, c], column-major
+            return 2 * w + rows - cols + ld * cols
+
+        # positions of x_0^i (k + 1, n_x) and of lam_i (k, n_x) in K_b
+        seed = 2 * np.arange(k + 1)[:, None] * nx + np.arange(nx)
+        lam = seed[:-1] + nx
+        template = np.zeros((ld, size), order="F")
+        flat = template.ravel(order="F")        # a view: template is Fortran-ordered
+        flat[at(lam, seed[1:])] = -1.0          # J: -I on x_0^{i+1}
+        flat[at(seed[1:], lam)] = -1.0          # J'
+        flat[at(seed, seed)] = 1.0
+        blocks_at = np.stack([at(lam[:, :, None], seed[:-1, None, :]),     # J
+                              at(seed[:-1, None, :], lam[:, :, None])])    # J'
+        return cls(template, blocks_at)
+
+
 @dataclass
 class ShootingKkt:
     """Banded LU of K = [[I, J'], [J, 0]] for a ``ShootingJacobian``.
@@ -190,8 +238,11 @@ class ShootingKkt:
     columns of J are block-bidiagonal with -I on the diagonal, so J always
     has full row rank.
 
-    Each answer is read from its own block of a solution of K, never
-    formed as -J'y, which loses digits once J is ill-conditioned.
+    One factorization copies the ``KktLayout`` band template that the
+    Jacobian carries (building one if it carries none), scatters the seed
+    sensitivities into it, factors K_b, solves K_b^-1 C and forms S.  Each
+    answer is read from its own block of a solution of K, never formed as
+    -J'y, which loses digits once J is ill-conditioned.
     """
 
     jac: ShootingJacobian
@@ -208,22 +259,9 @@ class ShootingKkt:
         k, nx, _ = jac.blocks.shape
         size = (2 * k + 1) * nx
         w = 2 * nx - 1
-        ab = np.zeros((3 * w + 1, size), order="F")
-
-        def put(rows, cols, vals):
-            # dgbtrf band storage: K[r, c] lives at ab[kl + ku + r - c, c]
-            rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-            ab[2 * w + rows - cols, cols] = vals
-
-        # positions of x_0^i (k + 1, n_x) and of lam_i (k, n_x) in K_b
-        seed = 2 * np.arange(k + 1)[:, None] * nx + np.arange(nx)
-        lam = seed[:-1] + nx
-        d_seed = jac.blocks[..., nth:]
-        put(lam[:, :, None], seed[:-1, None, :], d_seed)    # J: d x^i_end / d x_0^i
-        put(seed[:-1, None, :], lam[:, :, None], d_seed)    # J'
-        put(lam, seed[1:], -1.0)                            # J: -I on x_0^{i+1}
-        put(seed[1:], lam, -1.0)                            # J'
-        put(seed, seed, 1.0)
+        layout = jac.layout if jac.layout is not None else KktLayout.of(k, nx)
+        ab = layout.template.copy(order="F")
+        ab.ravel(order="F")[layout.blocks_at] = jac.blocks[..., nth:]
         lu, piv, info = lapack.dgbtrf(ab, w, w, overwrite_ab=1)
         if info:
             raise np.linalg.LinAlgError(f"banded KKT factorization failed (info={info})")
@@ -304,6 +342,13 @@ class JacobianSvd:
         return r - self.vt.T @ (self.vt @ r)
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a float vector with the bits of ``np.linalg.norm``:
+    its own path for a vector, without its per-call dispatch."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def factorize(jac):
     """The one factorization of an iteration, chosen by the Jacobian's type."""
     if isinstance(jac, ShootingJacobian):
@@ -320,37 +365,34 @@ def vertical_step(fac, c: np.ndarray, delta: float, eta: float = 0.8):
     """Dogleg step toward feasibility: min ||Jv + c|| s.t. ||v|| <= eta*delta.
 
     Blends the Cauchy point of the Gauss-Newton model with the least-norm
-    solution of Jv = -c.  Returns (v, r) with r = Jv + c.
+    solution of Jv = -c.  Returns v.
     """
     jac = fac.jac
     m, n = jac.shape
     if m == 0 or not np.any(c):
-        return np.zeros(n), c.copy()
+        return np.zeros(n)
     bound = eta * delta
     g = jac.T @ c
-    gn = np.linalg.norm(g)
+    gn = _norm(g)
     if gn == 0:
-        return np.zeros(n), c.copy()
+        return np.zeros(n)
     jg = jac @ g
     jg2 = float(jg @ jg)
     if jg2 == 0:
-        v = -(bound / gn) * g
-        return v, jac @ v + c
+        return -(bound / gn) * g
     t_star = float(g @ g) / jg2
     v_c = -t_star * g
     v_n = fac.least_norm(-c)
-    if np.linalg.norm(v_n) <= bound:
-        v = v_n
-    elif np.linalg.norm(v_c) >= bound:
-        v = -(bound / gn) * g
-    else:
-        d = v_n - v_c
-        a = float(d @ d)
-        b = 2.0 * float(v_c @ d)
-        cc = float(v_c @ v_c) - bound ** 2
-        tau = (-b + np.sqrt(max(b * b - 4 * a * cc, 0.0))) / (2 * a)
-        v = v_c + tau * d
-    return v, jac @ v + c
+    if _norm(v_n) <= bound:
+        return v_n
+    if _norm(v_c) >= bound:
+        return -(bound / gn) * g
+    d = v_n - v_c
+    a = float(d @ d)
+    b = 2.0 * float(v_c @ d)
+    cc = float(v_c @ v_c) - bound ** 2
+    tau = (-b + np.sqrt(max(b * b - 4 * a * cc, 0.0))) / (2 * a)
+    return v_c + tau * d
 
 
 def horizontal_step(grad: np.ndarray, hess_op: Callable, fac,
@@ -370,9 +412,9 @@ def horizontal_step(grad: np.ndarray, hess_op: Callable, fac,
     # while z is nonzero
     rz = float(z @ z)
     d = -z
-    z0 = np.linalg.norm(z)
+    z0 = _norm(z)
     for _ in range(max_cg):
-        if np.linalg.norm(z) <= tol * max(1.0, z0):
+        if _norm(z) <= tol * max(1.0, z0):
             break
         hd = np.asarray(hess_op(d), float)
         dhd = float(d @ hd)
@@ -382,7 +424,7 @@ def horizontal_step(grad: np.ndarray, hess_op: Callable, fac,
             hp = hp + alpha * hd
             break
         alpha = rz / dhd
-        if np.linalg.norm(p + alpha * d) >= delta:
+        if _norm(p + alpha * d) >= delta:
             alpha = _to_boundary(p, d, delta)
             p = p + alpha * d
             hp = hp + alpha * hd
@@ -414,7 +456,7 @@ def _to_boundary(p, d, delta):
 
 
 def merit(v_val: float, c: np.ndarray, mu: float) -> float:
-    return v_val + mu * np.linalg.norm(c)
+    return v_val + mu * _norm(c)
 
 
 def merit_and_ratio(v0, c0, v1, c1, predicted, mu):
@@ -464,14 +506,20 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
             status = "step-too-small"
             break
 
-        v, r = vertical_step(fac, c, state.radius, opts.eta)
+        v = vertical_step(fac, c, state.radius, opts.eta)
 
         def hess_op(p, _x=x, _lam=lam):
             return problem.hess_vec(_x, _lam, p)
 
         p, hp = horizontal_step(g, hess_op, fac, v, state.radius, max_cg)
+        step_norm = _norm(p)
+        if not math.isfinite(step_norm):
+            # the trust radius is set from the step norm; a step that
+            # overflowed could only poison it
+            status = "non-finite"
+            break
         qp = float(g @ p) + 0.5 * float(p @ hp)
-        vpred = (np.linalg.norm(c) - np.linalg.norm(jac @ p + c)) if problem.m else 0.0
+        vpred = (_norm(c) - _norm(jac @ p + c)) if problem.m else 0.0
 
         if problem.m and vpred > 1e-16 and cviol > 10 * opts.constraint_tol:
             # ensure the predicted merit reduction dominates mu*vpred/2; near
@@ -488,7 +536,7 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
 
         # rounding-noise floor of the merit difference: below it the ratio
         # carries no information and no further progress is possible
-        noise = 1e-14 * (abs(v_val) + state.penalty * np.linalg.norm(c) + 1e-3)
+        noise = 1e-14 * (abs(v_val) + state.penalty * _norm(c) + 1e-3)
         if predicted <= noise or not np.any(p):
             if cviol <= opts.constraint_tol:
                 status = "step-too-small"
@@ -502,10 +550,9 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         c_trial = problem.constraint(x_trial)
         rho = merit_and_ratio(v_val, c, v_trial, c_trial, predicted, state.penalty)
 
-        step_norm = float(np.linalg.norm(p))
         if opts.trace:
             trace.append({"iteration": it, "V": v_val,
-                          "constraint_norm": float(np.linalg.norm(c)),
+                          "constraint_norm": _norm(c),
                           "radius": state.radius, "ratio": float(rho),
                           "penalty": state.penalty})
 
@@ -520,7 +567,7 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         # stagnation: repeated feasible iterations with tiny steps and no
         # measurable merit progress mean the local structure is exhausted
         if (improved < opts.ftol_rel * (1.0 + abs(v_val))
-                and step_norm <= opts.xtol_rel * (1.0 + np.linalg.norm(x))):
+                and step_norm <= opts.xtol_rel * (1.0 + _norm(x))):
             stall += 1
         else:
             stall = 0

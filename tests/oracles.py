@@ -113,3 +113,30 @@ def rollout_interval(model, theta, x0, zy, zu, start, length, limit):
             dsens.append(d)
             jsens.append(np.matmul(c[0], d) + np.concatenate([f[0], np.zeros((len(f[0]), nx))], axis=1))
     return states, preds, dsens, jsens, -1
+
+
+def shooting_kkt_band(blocks, n_theta):
+    """dgbtrf band storage of K_b = [[I, J_s'], [J_s, 0]] for the seed
+    columns J_s of a multiple-shooting cohesion Jacobian, placed entry by
+    entry: seeds and multipliers interleaved as x_0^1, lam_1, ...,
+    lam_{M-1}, x_0^M, with kl = ku = 2 n_x - 1."""
+    k, nx, _ = blocks.shape
+    size = (2 * k + 1) * nx
+    w = 2 * nx - 1
+    ab = np.zeros((3 * w + 1, size), order="F")
+
+    def put(rows, cols, vals):
+        # dgbtrf band storage: K[r, c] lives at ab[kl + ku + r - c, c]
+        rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+        ab[2 * w + rows - cols, cols] = vals
+
+    # positions of x_0^i (k + 1, n_x) and of lam_i (k, n_x) in K_b
+    seed = 2 * np.arange(k + 1)[:, None] * nx + np.arange(nx)
+    lam = seed[:-1] + nx
+    d_seed = blocks[..., n_theta:]
+    put(lam[:, :, None], seed[:-1, None, :], d_seed)    # J: d x^i_end / d x_0^i
+    put(seed[:-1, None, :], lam[:, :, None], d_seed)    # J'
+    put(lam, seed[1:], -1.0)                            # J: -I on x_0^{i+1}
+    put(seed[1:], lam, -1.0)                            # J'
+    put(seed, seed, 1.0)
+    return ab

@@ -12,7 +12,8 @@ from msid.models import LogisticMap, Pendulum, linear_arx, linear_oe_2nd, \
     lower_to_state_space
 
 import msid.objective
-from msid.solver import JacobianSvd, ShootingKkt, lagrange_multipliers
+from msid.solver import (JacobianSvd, KktLayout, ShootingJacobian, ShootingKkt,
+                         lagrange_multipliers)
 
 import oracles
 from test_models import ALL_FAMILIES
@@ -221,6 +222,55 @@ def test_banded_kkt_matches_svd(family, bounds, rng):
     assert np.linalg.norm(jac @ kkt.null_project(r)) <= 1e-12 * np.linalg.norm(r)
 
 
+def _assert_band_matches_oracle(jac, monkeypatch):
+    # the band given to dgbtrf, and the LU and pivots it returns, have the
+    # bits of the per-entry placement in oracles.shooting_kkt_band
+    from scipy.linalg import lapack
+
+    given = []
+    dgbtrf = lapack.dgbtrf
+
+    def spy(ab, *args, **kwargs):
+        given.append(ab.copy(order="F"))
+        return dgbtrf(ab, *args, **kwargs)
+    monkeypatch.setattr(lapack, "dgbtrf", spy)
+    kkt = ShootingKkt.of(jac)
+    ref = oracles.shooting_kkt_band(jac.blocks, jac.n_theta)
+    assert len(given) == 1 and given[0].tobytes() == ref.tobytes()
+    w = 2 * jac.blocks.shape[1] - 1
+    lu, piv, info = dgbtrf(ref, w, w)
+    assert info == 0
+    assert kkt.lu.tobytes() == lu.tobytes() and kkt.piv.tobytes() == piv.tobytes()
+
+
+@pytest.mark.parametrize("bounds", SHOOTING_BOUNDS.values(), ids=SHOOTING_BOUNDS)
+@pytest.mark.parametrize("family", SHOOTING_FAMILIES)
+def test_kkt_layout_places_the_band_like_the_oracle(family, bounds, rng, monkeypatch):
+    prob, phi = _shooting_point(family, bounds, rng)
+    jac = prob.constraint_jacobian(phi)
+    assert jac.layout is not None
+    _assert_band_matches_oracle(jac, monkeypatch)
+
+
+@pytest.mark.parametrize("k,nx,nth", [(5, 3, 2), (1, 3, 1), (1, 1, 1)],
+                         ids=["nx3", "one-block-nx3", "one-block-nx1"])
+@pytest.mark.parametrize("with_layout", [False, True], ids=["built", "given"])
+def test_kkt_layout_places_random_blocks_like_the_oracle(k, nx, nth, with_layout, rng,
+                                                         monkeypatch):
+    blocks = rng.normal(size=(k, nx, nth + nx))
+    jac = ShootingJacobian(blocks, nth, KktLayout.of(k, nx) if with_layout else None)
+    _assert_band_matches_oracle(jac, monkeypatch)
+
+
+def test_stateless_multiple_shooting_needs_no_kkt_layout():
+    # an ARX model has no state, so its intervals are not glued together
+    model = lower_to_state_space(linear_arx(2, 1, (0.5, -0.2, 2.0)))
+    prob = EstimationProblem(model, gen_linear2nd(n=20),
+                             MultipleShooting(ShootingPlan.from_max_len(20, 5)))
+    assert prob.n_constraints == 0
+    assert np.isfinite(prob.cost(prob.default_point()))
+
+
 def test_gn_hessian_vec_is_symmetric_psd(rng):
     prob = _logistic_problem(SingleShooting(optimize_x0=True), n=30)
     phi = prob.default_point(np.array([3.3]))
@@ -345,9 +395,10 @@ def test_curvature_term_keeps_the_bits(family, max_len, rng, monkeypatch):
     prob = fresh()
     phi = prob.default_point(None if theta is None else np.array(theta))
     phi = phi + rng.normal(scale=0.01, size=phi.size)
-    lam = rng.normal(size=prob.n_constraints)
+    lams = rng.normal(size=(2, prob.n_constraints))
     calls = _recording_rollouts(monkeypatch)
-    for p in rng.normal(size=(2, phi.size)):
+    # a new multiplier at the same point gets its own J(phi)'lam
+    for lam, p in zip(lams, rng.normal(size=(2, phi.size))):
         h = np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(phi)) / np.linalg.norm(p)
         want = fresh().gn_hessian_vec(phi, p) + (
             fresh().constraint_jac_t_vec(phi + h * p, lam)

@@ -15,7 +15,7 @@ from msid import (EstimationProblem, MultipleShooting, NlpProblem,
                   gen_logistic, gen_pendulum, solve)
 from msid.experiments import study_options
 from msid.models import LogisticMap, Pendulum, lower_to_state_space
-from msid.solver import (JacobianSvd, ShootingJacobian, factorize,
+from msid.solver import (JacobianSvd, ShootingJacobian, _norm, factorize,
                          horizontal_step, lagrange_multipliers, merit,
                          vertical_step)
 
@@ -87,7 +87,7 @@ def test_multipliers_solve_least_squares(rng):
 def test_vertical_step_exact_when_radius_large(rng):
     jac = rng.normal(size=(2, 5))
     c = rng.normal(size=2)
-    v, _ = vertical_step(JacobianSvd.of(jac), c, delta=100.0)
+    v = vertical_step(JacobianSvd.of(jac), c, delta=100.0)
     # residual of the Gauss-Newton system is zero for full-rank wide J
     np.testing.assert_allclose(jac @ v + c, 0.0, atol=1e-10)
 
@@ -96,7 +96,7 @@ def test_vertical_step_respects_radius_fraction(rng):
     jac = rng.normal(size=(2, 5))
     c = 100.0 * rng.normal(size=2)
     delta = 0.5
-    v, _ = vertical_step(JacobianSvd.of(jac), c, delta=delta, eta=0.8)
+    v = vertical_step(JacobianSvd.of(jac), c, delta=delta, eta=0.8)
     assert np.linalg.norm(v) <= 0.8 * delta + 1e-12
     # and it still reduces the linearized infeasibility
     assert np.linalg.norm(jac @ v + c) < np.linalg.norm(c)
@@ -122,7 +122,7 @@ def test_horizontal_step_keeps_linearized_feasibility(seed, shooting, rows, cols
     h_mat = rng.normal(size=(n, n))
     h_mat = h_mat @ h_mat.T + np.eye(n)
     fac = factorize(jac)
-    v, _ = vertical_step(fac, rng.normal(size=m), delta=radius)
+    v = vertical_step(fac, rng.normal(size=m), delta=radius)
     p, _ = horizontal_step(rng.normal(size=n), lambda q: h_mat @ q, fac, v,
                            radius, n - m + 10)
     scale = np.linalg.norm(dense, 2) * max(np.linalg.norm(p), np.linalg.norm(v))
@@ -148,7 +148,7 @@ def test_interior_qp_step_matches_kkt_solve(rng):
     jac = rng.normal(size=(2, 5))
     c = rng.normal(size=2)
     fac = JacobianSvd.of(jac)
-    v, _ = vertical_step(fac, c, delta=1e8)
+    v = vertical_step(fac, c, delta=1e8)
     p, _ = horizontal_step(grad, lambda q: h_mat @ q, fac, v, 1e8, 200)
     p_ref, _ = oracles.kkt_solve_quadratic(h_mat, -grad, jac, -c)
     np.testing.assert_allclose(p, p_ref, rtol=1e-7, atol=1e-9)
@@ -190,8 +190,31 @@ def test_rank_deficient_jacobian_matches_lstsq(rng):
     np.testing.assert_allclose(lagrange_multipliers(grad, fac), lam_ref,
                                rtol=1e-12, atol=1e-12)
     v_ref, *_ = np.linalg.lstsq(jac, -c, rcond=None)
-    v, _ = vertical_step(fac, c, delta=1e8)
+    v = vertical_step(fac, c, delta=1e8)
     np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=1e-12)
+
+
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e154,
+                     1e308, -1e308, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60),
+       edges=st.lists(st.tuples(st.integers(0, 59), _EDGE_FLOATS), max_size=4),
+       step=st.sampled_from([1, 2, -1, -3]))
+def test_norm_has_the_bits_of_numpy(seed, n, edges, step):
+    # normal entries make the summation order show (a strided dot sums in
+    # another order than a contiguous one); edge entries go in at drawn places
+    x = np.random.default_rng(seed).normal(size=n)
+    for i, value in edges:
+        if i < n:
+            x[i] = value
+    x = x[::step]
+    with np.errstate(over="ignore"):
+        got, want = _norm(x), np.linalg.norm(x)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_merit_function_definition():
@@ -371,6 +394,19 @@ def test_non_finite_multipliers_stop_at_once(name, start):
     assert not np.all(np.isfinite(res.multipliers))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_step_stops_at_once():
+    # the least-squares multiplier is a finite 1.59e308, but the case's
+    # Hessian product (2 + 2 lam) p overflows and CG returns a NaN step;
+    # the trust radius, set from the step norm, would be NaN from then on
+    case = next(c for c in KKT_CASES if c.id == "target-on-sphere")
+    res = _traced_solve(case, (2.2e-308, 2.2e-308))
+    assert res.status == "non-finite"
+    assert res.iterations == 0 and res.n_eval == 1
+    assert np.all(np.isfinite(res.multipliers))
+    np.testing.assert_array_equal(res.point, [2.2e-308, 2.2e-308])
+
+
 def test_trace_records_radius_and_ratio():
     nlp = _rosenbrock_nlp()
     res = solve(nlp, np.array([-1.2, 1.0]), SolverOptions(trace=True))
@@ -458,17 +494,23 @@ def _fresh_problem_nlp(model, dataset, form):
         hess_vec=lambda x, lam, p: fresh().gn_hessian_vec(x, p))
 
 
-@pytest.mark.parametrize("form", [
-    SingleShooting(optimize_x0=True),
-    MultipleShooting(ShootingPlan.from_max_len(256, 16)),
-], ids=["single-shooting", "ms16"])
-def test_cached_solve_equals_uncached_solve(form, monkeypatch):
-    # the problem's cache, and its reuse of a costed point's states for the
-    # gradient there, must not change a single bit of a capped solve
-    model = lower_to_state_space(Pendulum())
-    ds = gen_pendulum("b", seed=0, n=256)
+@pytest.mark.parametrize("family,form,theta0", [
+    ("pendulum", SingleShooting(optimize_x0=True), [25.0, 4.0]),
+    ("pendulum", MultipleShooting(ShootingPlan.from_max_len(256, 16)), [25.0, 4.0]),
+    ("logistic", MultipleShooting(ShootingPlan.from_max_len(256, 2)), [3.5]),
+], ids=["single-shooting", "ms16", "logistic-ms2"])
+def test_cached_solve_equals_uncached_solve(family, form, theta0, monkeypatch):
+    # the problem's cache, its reuse of a costed point's states for the
+    # gradient there, its J(phi)'lam slot and its KKT band layout must not
+    # change a single bit of a capped solve (n_x = 2 and n_x = 1)
+    if family == "pendulum":
+        model = lower_to_state_space(Pendulum())
+        ds = gen_pendulum("b", seed=0, n=256)
+    else:
+        model = lower_to_state_space(LogisticMap())
+        ds = gen_logistic(n=256)
     prob = EstimationProblem(model, ds, form)
-    x0 = prob.default_point(np.array([25.0, 4.0]))
+    x0 = prob.default_point(np.array(theta0))
     opts = study_options(max_iter=10)
     reused = []
     run_intervals = msid.objective.run_intervals
