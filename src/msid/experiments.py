@@ -200,18 +200,6 @@ class ExperimentResult:
     summaries: dict = field(default_factory=dict)
 
 
-def audited_median(values) -> float:
-    """Median via partial selection; cross-checked against a sort oracle
-    in the test suite so summary statistics cannot silently drift."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("median of empty sequence")
-    lo = (arr.size - 1) // 2
-    hi = arr.size // 2
-    part = np.partition(arr, (lo, hi))
-    return float(0.5 * (part[lo] + part[hi]))
-
-
 def linear_fit_r2(x, y):
     """Least-squares line through (x, y); returns (slope, intercept, r2)."""
     x = np.asarray(x, float)
@@ -315,7 +303,7 @@ def multi_start_study(problem: EstimationProblem, guesses,
                                          <= tol * np.maximum(1.0, np.abs(tgt))))
             successes += rec["success"]
         result.records.append(rec)
-    result.summaries = {"median_evals": audited_median([r["n_eval"] for r in result.records])}
+    result.summaries = {"median_evals": float(np.median([r["n_eval"] for r in result.records]))}
     if target is not None:
         result.summaries["successes"] = successes
     return result
@@ -396,8 +384,8 @@ def monte_carlo_study(config: MonteCarloConfig) -> ExperimentResult:
     for method in config.methods:
         errs = np.array([r["error"] for r in result.records if r["method"] == method])
         by_method[method] = {
-            "median_error": [audited_median(errs[:, j]) for j in range(errs.shape[1])],
-            "median_abs_error": [audited_median(np.abs(errs[:, j]))
+            "median_error": [float(np.median(errs[:, j])) for j in range(errs.shape[1])],
+            "median_abs_error": [float(np.median(np.abs(errs[:, j])))
                                  for j in range(errs.shape[1])]}
     result.summaries = {"by_method": by_method}
     return result

@@ -28,7 +28,8 @@ import numpy as np
 from .dataset import Dataset
 from .models import RegressorWindow, StateSpaceModel, regressor_matrices
 from .simulate import _STATE_LIMIT, IntervalPlan, run_intervals
-from .solver import KktLayout, ShootingJacobian
+from . import solver
+from .solver import NlpProblem, ShootingJacobian, SolverOptions
 
 
 @dataclass(frozen=True)
@@ -98,14 +99,6 @@ Formulation = Union[SingleShooting, MultipleShooting, MsaPem]
 
 
 @dataclass
-class ParameterPoint:
-    """Structured view of a decision vector: theta plus per-interval seeds."""
-
-    theta: np.ndarray
-    x0s: np.ndarray   # (M, N_x); M = 0 when no state enters the decision
-
-
-@dataclass
 class _FullEval:
     """Everything derivable from one batched rollout at a decision point."""
 
@@ -122,9 +115,11 @@ class _FullEval:
 class EstimationProblem:
     """A model, a dataset, and one estimation formulation.
 
-    The interval plan (regressor gathers, masks, residual targets and any
-    data-built seeds) and, for multiple shooting, the KKT band layout of the
-    constraint Jacobian are built once.  Evaluations are cached by the point's
+    A decision vector phi is theta followed by the free seeds, one state
+    per interval (multiple shooting), one in all (single shooting with
+    ``optimize_x0``) or none; ``split`` returns the two parts.  The interval
+    plan (regressor gathers, masks, residual targets and any data-built
+    seeds) is built once.  Evaluations are cached by the point's
     bytes in 8 entries, the oldest evicted for a new point, so cost,
     gradient, constraints and their Jacobian at one point share one rollout.
     A finite-difference curvature point new to the cache gets a rollout
@@ -150,9 +145,6 @@ class EstimationProblem:
         if isinstance(formulation, MultipleShooting):
             if formulation.plan.boundaries[-1] != dataset.n:
                 raise ValueError("shooting plan must cover the dataset exactly")
-        # without constraints the solver never factors a KKT matrix
-        self._kkt_layout = (KktLayout.of(formulation.plan.m - 1, model.state_dim)
-                            if self.n_constraints else None)
         self._plan = self._build_plan()
 
     # -- layout ------------------------------------------------------------
@@ -175,13 +167,13 @@ class EstimationProblem:
         f = self.formulation
         return (f.plan.m - 1) * self.model.state_dim if isinstance(f, MultipleShooting) else 0
 
-    def split(self, phi) -> ParameterPoint:
+    def split(self, phi) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, x0s) of a decision vector, x0s being (n_seeds, N_x)."""
         phi = np.asarray(phi, dtype=float)
         if phi.shape != (self.n_decision,):
             raise ValueError(f"decision vector must have length {self.n_decision}")
         nth = self.model.theta_dim
-        x0s = phi[nth:].reshape(self.n_seeds, self.model.state_dim)
-        return ParameterPoint(phi[:nth], x0s)
+        return phi[:nth], phi[nth:].reshape(self.n_seeds, self.model.state_dim)
 
     def heuristic_seeds(self) -> np.ndarray:
         """Per-interval initial states built from measured data."""
@@ -233,11 +225,11 @@ class EstimationProblem:
             return hit
         with_sens = with_sens or curvature
         outputs = not (curvature and hit is None)
-        pt = self.split(phi)
+        theta, x0s = self.split(phi)
         plan = self._plan
         kept = self._trajectory
         xs = kept[1] if with_sens and kept is not None and kept[0] == key else None
-        roll = run_intervals(self.model, pt.theta, pt.x0s if plan.seeds is None else plan.seeds,
+        roll = run_intervals(self.model, theta, x0s if plan.seeds is None else plan.seeds,
                              self._zy, self._zu, plan.starts, plan.lengths, with_sens=with_sens,
                              trajectory=xs, outputs=outputs, plan=plan)
         self._trajectory = None if with_sens else (key, roll.xs)
@@ -316,9 +308,9 @@ class EstimationProblem:
         if isinstance(f, MsaPem):
             raise TypeError("batch_costs needs a shooting formulation")
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        pt = self.split(np.concatenate([thetas[0], np.ravel(seeds)]))
+        _, x0s = self.split(np.concatenate([thetas[0], np.ravel(seeds)]))
         starts = self._plan.starts
-        x0s = pt.x0s if self._plan.seeds is None else self._plan.seeds
+        x0s = x0s if self._plan.seeds is None else self._plan.seeds
         model, y, n = self.model, self.dataset.y, self.dataset.n
         discard = (model.n_transient
                    if isinstance(f, SingleShooting) and not f.optimize_x0 else 0)
@@ -374,10 +366,10 @@ class EstimationProblem:
         """Cohesion residuals x^{i-1}[m_i] - x_0^i, stacked over i = 2..M."""
         self._require(MultipleShooting)
         ev = self._evaluate(phi)
-        pt = self.split(phi)
+        _, x0s = self.split(phi)
         if ev.diverged:
             return np.full(self.n_constraints, np.nan)
-        return (ev.end_states[:-1] - pt.x0s[1:]).ravel()
+        return (ev.end_states[:-1] - x0s[1:]).ravel()
 
     def constraint_jacobian(self, phi) -> ShootingJacobian:
         """Block-form Jacobian of the cohesion constraints.
@@ -389,7 +381,7 @@ class EstimationProblem:
         self._require(MultipleShooting)
         ev = self._evaluate(phi, with_sens=True)
         return ShootingJacobian(ev.end_state_sens[: self.formulation.plan.m - 1],
-                                self.model.theta_dim, self._kkt_layout)
+                                self.model.theta_dim)
 
     def constraint_jac_t_vec(self, phi, lam) -> np.ndarray:
         """J_c(phi)^T lam."""
@@ -428,8 +420,6 @@ class EstimationProblem:
 
 def as_nlp(problem: EstimationProblem):
     """Adapt an estimation problem to the solver's callback record."""
-    from .solver import NlpProblem
-
     if isinstance(problem.formulation, MultipleShooting):
         return NlpProblem(
             n=problem.n_decision,
@@ -459,14 +449,13 @@ def incremental_k_schedule(model: StateSpaceModel, dataset: Dataset, theta_init,
     Stops early when consecutive solutions move less than ``tol``.
     Returns a list of (horizon, solver result) pairs.
     """
-    from .solver import SolverOptions, solve
-
     opts = solver_options or SolverOptions()
     theta = np.asarray(theta_init, dtype=float)
     results = []
     for k in range(1, k_max + 1):
         problem = EstimationProblem(model, dataset, MsaPem(k))
-        res = solve(as_nlp(problem), theta, opts)
+        # looked up at call time, so a wrapper put on msid.solver.solve sees it
+        res = solver.solve(as_nlp(problem), theta, opts)
         results.append((k, res))
         step = np.linalg.norm(res.point - theta)
         theta = res.point

@@ -1,4 +1,4 @@
-"""Forward simulation with optional propagation of output sensitivities.
+"""Forward simulation with optional propagation of sensitivities.
 
 The core routine steps many independent intervals in lockstep (one batch
 row per interval), which is what makes multiple-shooting and
@@ -13,9 +13,10 @@ divergence and the sensitivity recursion
 with columns ordered (theta, x0); A_k, B_k are evaluated at the state
 entering step k and C_k, F_k at the state leaving it.  An interval
 diverges at its first in-length step whose state exceeds ``_STATE_LIMIT``
-or is NaN; from there on, and past its length, its states and state
-sensitivities hold their last good values, its predictions and output
-sensitivities are zero, and its end values are x0 and [0 | I].
+or is NaN; from there on, and past its length, its states hold their
+last good values and its predictions and output sensitivities are zero,
+and its end values are x0 and [0 | I].  A single interval is a one-row
+call.
 
 Phase 2 is a pure function of the phase-1 states.  Every rollout returns
 them time-major as ``xs`` (T+1, B, N_x); passing them back as
@@ -32,29 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import RegressorWindow, StateSpaceModel, regressor_matrices
+from .models import RegressorWindow, StateSpaceModel
 
 _STATE_LIMIT = 1e150
-
-
-class DivergenceError(RuntimeError):
-    """A trajectory left the representable range; carries the 1-based step."""
-
-    def __init__(self, step: int):
-        super().__init__(f"trajectory diverged at step {step}")
-        self.step = step
-
-
-@dataclass
-class SensitivityTrace:
-    """Per-step states, predictions and Jacobians over one interval."""
-
-    start: int
-    end: int
-    states: np.ndarray        # (T, N_x)
-    predictions: np.ndarray   # (T, N_out)
-    state_sens: np.ndarray    # (T, N_x, N_theta + N_x)
-    output_sens: np.ndarray   # (T, N_out, N_theta + N_x)
 
 
 @dataclass
@@ -66,7 +47,6 @@ class BatchRollout:
     states: np.ndarray        # (B, T, N_x); rows past an interval's end are frozen
     predictions: np.ndarray | None       # (B, T, N_out), None without outputs
     output_sens: np.ndarray | None       # (B, T, N_out, nc)
-    state_sens: np.ndarray | None        # (B, T, N_x, nc), only when requested
     end_states: np.ndarray    # (B, N_x)
     end_state_sens: np.ndarray | None    # (B, N_x, nc)
     valid: np.ndarray         # (B, T) bool
@@ -113,9 +93,8 @@ class IntervalPlan:
 
 
 def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
-                  with_sens: bool, store_state_sens: bool = False,
-                  trajectory: np.ndarray | None = None, outputs: bool = True,
-                  plan: IntervalPlan | None = None) -> BatchRollout:
+                  with_sens: bool, trajectory: np.ndarray | None = None,
+                  outputs: bool = True, plan: IntervalPlan | None = None) -> BatchRollout:
     """Roll out B intervals in lockstep.
 
     ``x0`` is (B, N_x); interval i covers times starts[i]+1 ..
@@ -177,7 +156,6 @@ def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
 
     bad &= plan.in_length               # only in-length steps can diverge
     states = xs[1:]
-    state_sens = dmat[1:] if (with_sens and store_state_sens) else None
     if not bad.any() and plan.full:
         # no interval diverged or ended early: nothing to hold or zero
         diverged = np.zeros(b, dtype=bool)
@@ -204,42 +182,11 @@ def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
             if outputs:
                 jout = np.where(valid_t[:, :, None, None], jout, 0.0)
             end_sens = np.where(diverged[:, None, None], plan.d0, dmat[lengths, cols])
-            if store_state_sens:
-                state_sens = dmat[held, cols]
 
     def batch_major(arr):
         # C-contiguous, so callers' sums over B and T keep a batch-major order
         return None if arr is None else np.ascontiguousarray(arr.swapaxes(0, 1))
 
     return BatchRollout(starts, lengths, batch_major(states), batch_major(preds),
-                        batch_major(jout), batch_major(state_sens), end_states,
-                        end_sens, valid, diverged, div_step, xs)
-
-
-def _one_interval(model, x0, dataset, start, end, theta, with_sens):
-    if end < start:
-        raise ValueError("end must be >= start")
-    zy, zu = regressor_matrices(model, dataset)
-    roll = run_intervals(model, theta, np.asarray(x0, float)[None, :], zy, zu,
-                         np.array([start]), np.array([end - start]),
-                         with_sens=with_sens, store_state_sens=with_sens)
-    if roll.diverged[0]:
-        raise DivergenceError(int(roll.divergence_step[0]))
-    return roll
-
-
-def simulate(model: StateSpaceModel, x0, dataset, start: int, end: int, theta):
-    """Simulate one interval, raising DivergenceError on overflow.
-
-    Returns (states, predictions) for times start+1..end.
-    """
-    roll = _one_interval(model, x0, dataset, start, end, theta, False)
-    return roll.states[0], roll.predictions[0]
-
-
-def simulate_with_sensitivities(model: StateSpaceModel, x0, dataset, start: int,
-                                end: int, theta) -> SensitivityTrace:
-    """Simulate one interval propagating D[k] and J[k] alongside."""
-    roll = _one_interval(model, x0, dataset, start, end, theta, True)
-    return SensitivityTrace(start, end, roll.states[0], roll.predictions[0],
-                            roll.state_sens[0], roll.output_sens[0])
+                        batch_major(jout), end_states, end_sens, valid, diverged,
+                        div_step, xs)

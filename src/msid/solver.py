@@ -1,9 +1,9 @@
 """Equality-constrained trust-region sequential quadratic programming.
 
 Each iteration splits the step into a vertical (feasibility) part,
-obtained by a dogleg on min ||J v + c|| within a fraction eta of the
-trust radius, and a horizontal (optimality) part from a projected
-conjugate gradient on the QP
+obtained by a dogleg on min ||J v + c|| within 0.8 of the trust radius,
+and a horizontal (optimality) part from a projected conjugate gradient on
+the QP
 
     min  g'p + 1/2 p'Hp   s.t.  J p = J v,  ||p|| <= Delta.
 
@@ -18,26 +18,42 @@ correction.  The Jacobian's type picks the factorization:
   multipliers interleaved and theta brought in through a Schur
   complement; its cost is linear in the number of intervals.  Where each
   entry goes in LAPACK's band storage depends only on the number of
-  intervals and states, so a ``KktLayout`` built once per problem rides
-  on the Jacobian, and a factorization copies its band template of
+  intervals and states, so the ``KktLayout`` of each such pair is built
+  once and memoized, and a factorization copies its band template of
   constant entries and scatters the seed sensitivities into it;
 * any other (dense) Jacobian gets a thin SVD J = U S V', truncated like
   lstsq, which keeps lstsq's min-norm answers when J is rank-deficient.
 
 Steps are judged with the merit function phi = V + mu*||c||_2; the
-penalty mu only ever increases.  With zero constraints the method
-degrades to a plain trust-region Newton-CG.  A solve whose cost,
+penalty mu only ever increases.  The trust-region policy (radius
+updates, stagnation test, CG budget) is fixed by the module constants
+below; ``SolverOptions`` holds what a caller sets.  With zero constraints
+the method degrades to a plain trust-region Newton-CG.  A solve whose cost,
 gradient, multipliers, KKT residual or step norm are not finite stops at
 once with status ``non-finite``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+
+_ETA = 0.8                      # share of the radius the vertical step may take
+_DELTA_MAX = 1000.0             # largest trust radius
+_DELTA_FLOOR = 1e-14            # a smaller radius ends the solve step-too-small
+_SHRINK_THRESHOLD = 0.25        # a ratio below this shrinks the radius
+_SHRINK_FACTOR = 0.25           # to this share of the step norm
+_EXPAND_THRESHOLD = 0.75        # a boundary step above this ratio doubles it,
+_BOUNDARY_EXPAND_RATIO = 0.3    # one from this ratio up keeps twice its norm
+_EXPAND_FACTOR = 2.0            # (the factor of both)
+_FTOL_REL = 1e-10               # stagnation: a relative merit gain below this
+_XTOL_REL = 1e-6                # with a relative step below this,
+_STALL_PATIENCE = 10            # this many feasible iterations in a row
+_CG_EXTRA = 10                  # CG iterations beyond n - m
 
 
 @dataclass
@@ -73,32 +89,10 @@ class SolverOptions:
     constraint_tol: float = 1e-8
     max_iter: int = 1000
     delta0: float = 1.0
-    delta_max: float = 1000.0
     mu0: float = 1.0
     penalty_margin: float = 1.0
-    eta: float = 0.8
     accept_ratio: float = 0.1
-    shrink_threshold: float = 0.25
-    expand_threshold: float = 0.75
-    boundary_expand_ratio: float = 0.3
-    shrink_factor: float = 0.25
-    expand_factor: float = 2.0
-    delta_floor: float = 1e-14
-    ftol_rel: float = 1e-10
-    xtol_rel: float = 1e-6
-    stall_patience: int = 10
-    cg_extra: int = 10
     trace: bool = False
-
-
-@dataclass
-class SolverState:
-    point: np.ndarray
-    multipliers: np.ndarray
-    radius: float
-    penalty: float
-    iteration: int = 0
-    n_eval: int = 0
 
 
 @dataclass
@@ -131,8 +125,6 @@ class ShootingJacobian:
 
     blocks: np.ndarray      # (M - 1, n_x, n_theta + n_x)
     n_theta: int
-    # the KKT band layout of this (M - 1, n_x); built by ShootingKkt.of if absent
-    layout: Optional["KktLayout"] = field(default=None, compare=False, repr=False)
 
     @property
     def shape(self) -> tuple:
@@ -194,15 +186,16 @@ class KktLayout:
     flat column-major band positions of the seed sensitivities
     d x^i_end / d x_0^i, entry [0, i, a, b] in J (row lam_i[a], column
     x_0^i[b]) and entry [1, i, a, b] in J' (row x_0^i[b], column
-    lam_i[a]).  It depends on (M - 1, n_x) alone, so a problem builds it
-    once and every factorization copies the template and scatters its
-    blocks.
+    lam_i[a]).  It depends on (M - 1, n_x) alone, so ``of`` memoizes it
+    and every factorization copies the template and scatters its blocks;
+    both arrays are read-only, since every caller shares them.
     """
 
     template: np.ndarray    # (3 (2 n_x - 1) + 1, (2 (M - 1) + 1) n_x), Fortran order
     blocks_at: np.ndarray   # (2, M - 1, n_x, n_x)
 
     @classmethod
+    @functools.lru_cache(maxsize=8)
     def of(cls, k: int, nx: int) -> "KktLayout":
         size = (2 * k + 1) * nx
         w = 2 * nx - 1
@@ -222,6 +215,7 @@ class KktLayout:
         flat[at(seed, seed)] = 1.0
         blocks_at = np.stack([at(lam[:, :, None], seed[:-1, None, :]),     # J
                               at(seed[:-1, None, :], lam[:, :, None])])    # J'
+        template.flags.writeable = blocks_at.flags.writeable = False
         return cls(template, blocks_at)
 
 
@@ -238,9 +232,8 @@ class ShootingKkt:
     columns of J are block-bidiagonal with -I on the diagonal, so J always
     has full row rank.
 
-    One factorization copies the ``KktLayout`` band template that the
-    Jacobian carries (building one if it carries none), scatters the seed
-    sensitivities into it, factors K_b, solves K_b^-1 C and forms S.  Each
+    One factorization copies the band template of the ``KktLayout`` of its
+    (M - 1, n_x), scatters the seed sensitivities into it, factors K_b, solves K_b^-1 C and forms S.  Each
     answer is read from its own block of a solution of K, never formed as
     -J'y, which loses digits once J is ill-conditioned.
     """
@@ -259,7 +252,7 @@ class ShootingKkt:
         k, nx, _ = jac.blocks.shape
         size = (2 * k + 1) * nx
         w = 2 * nx - 1
-        layout = jac.layout if jac.layout is not None else KktLayout.of(k, nx)
+        layout = KktLayout.of(k, nx)
         ab = layout.template.copy(order="F")
         ab.ravel(order="F")[layout.blocks_at] = jac.blocks[..., nth:]
         lu, piv, info = lapack.dgbtrf(ab, w, w, overwrite_ab=1)
@@ -361,8 +354,8 @@ def lagrange_multipliers(grad: np.ndarray, fac) -> np.ndarray:
     return fac.multipliers(grad)
 
 
-def vertical_step(fac, c: np.ndarray, delta: float, eta: float = 0.8):
-    """Dogleg step toward feasibility: min ||Jv + c|| s.t. ||v|| <= eta*delta.
+def vertical_step(fac, c: np.ndarray, delta: float):
+    """Dogleg step toward feasibility: min ||Jv + c|| s.t. ||v|| <= 0.8 delta.
 
     Blends the Cauchy point of the Gauss-Newton model with the least-norm
     solution of Jv = -c.  Returns v.
@@ -371,7 +364,7 @@ def vertical_step(fac, c: np.ndarray, delta: float, eta: float = 0.8):
     m, n = jac.shape
     if m == 0 or not np.any(c):
         return np.zeros(n)
-    bound = eta * delta
+    bound = _ETA * delta
     g = jac.T @ c
     gn = _norm(g)
     if gn == 0:
@@ -472,19 +465,19 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
     opts = options or SolverOptions()
     t_start = time.perf_counter()
     x = np.asarray(x0, dtype=float).copy()
-    state = SolverState(x, np.zeros(problem.m), opts.delta0, opts.mu0)
+    lam = np.zeros(problem.m)
+    radius, penalty = opts.delta0, opts.mu0
     trace = []
 
     v_val = float(problem.f(x))
-    state.n_eval += 1
+    n_eval = 1
     c = problem.constraint(x)
     status = "max-iter"
     stall = 0
     g = np.zeros(problem.n)
-    max_cg = problem.n - problem.m + opts.cg_extra
+    max_cg = problem.n - problem.m + _CG_EXTRA
 
     for it in range(opts.max_iter):
-        state.iteration = it
         g = np.asarray(problem.grad(x), float)
         if not (np.isfinite(v_val) and np.all(np.isfinite(g))):
             status = "non-finite"
@@ -492,7 +485,6 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         jac = problem.jacobian(x)
         fac = factorize(jac)
         lam = lagrange_multipliers(g, fac)
-        state.multipliers = lam
         grad_l = g + (jac.T @ lam if problem.m else 0.0)
         kkt = float(np.max(np.abs(grad_l))) if problem.n else 0.0
         cviol = float(np.max(np.abs(c))) if problem.m else 0.0
@@ -502,16 +494,16 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         if kkt < opts.tol and cviol < opts.constraint_tol:
             status = "converged"
             break
-        if state.radius < opts.delta_floor:
+        if radius < _DELTA_FLOOR:
             status = "step-too-small"
             break
 
-        v = vertical_step(fac, c, state.radius, opts.eta)
+        v = vertical_step(fac, c, radius)
 
         def hess_op(p, _x=x, _lam=lam):
             return problem.hess_vec(_x, _lam, p)
 
-        p, hp = horizontal_step(g, hess_op, fac, v, state.radius, max_cg)
+        p, hp = horizontal_step(g, hess_op, fac, v, radius, max_cg)
         step_norm = _norm(p)
         if not math.isfinite(step_norm):
             # the trust radius is set from the step norm; a step that
@@ -526,39 +518,38 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
             # feasibility steps are tangential and vpred is rounding-level,
             # so raising mu there would only poison the merit ratio
             mu_req = qp / (0.5 * vpred)
-            if state.penalty < mu_req:
+            if penalty < mu_req:
                 margin = opts.penalty_margin
-                state.penalty = max(mu_req + margin,
-                                    (np.max(np.abs(lam)) if lam.size else 0.0)
-                                    * 2.0 + margin,
-                                    state.penalty)
-        predicted = -qp + state.penalty * vpred
+                penalty = max(mu_req + margin,
+                              (np.max(np.abs(lam)) if lam.size else 0.0) * 2.0 + margin,
+                              penalty)
+        predicted = -qp + penalty * vpred
 
         # rounding-noise floor of the merit difference: below it the ratio
         # carries no information and no further progress is possible
-        noise = 1e-14 * (abs(v_val) + state.penalty * _norm(c) + 1e-3)
+        noise = 1e-14 * (abs(v_val) + penalty * _norm(c) + 1e-3)
         if predicted <= noise or not np.any(p):
             if cviol <= opts.constraint_tol:
                 status = "step-too-small"
                 break
-            state.radius *= opts.shrink_factor
+            radius *= _SHRINK_FACTOR
             continue
 
         x_trial = x + p
         v_trial = float(problem.f(x_trial))
-        state.n_eval += 1
+        n_eval += 1
         c_trial = problem.constraint(x_trial)
-        rho = merit_and_ratio(v_val, c, v_trial, c_trial, predicted, state.penalty)
+        rho = merit_and_ratio(v_val, c, v_trial, c_trial, predicted, penalty)
 
         if opts.trace:
             trace.append({"iteration": it, "V": v_val,
                           "constraint_norm": _norm(c),
-                          "radius": state.radius, "ratio": float(rho),
-                          "penalty": state.penalty})
+                          "radius": radius, "ratio": float(rho),
+                          "penalty": penalty})
 
         improved = 0.0
         if rho > opts.accept_ratio:
-            improved = merit(v_val, c, state.penalty) - merit(v_trial, c_trial, state.penalty)
+            improved = merit(v_val, c, penalty) - merit(v_trial, c_trial, penalty)
             x = x_trial
             v_val = v_trial
             c = c_trial
@@ -566,24 +557,23 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
 
         # stagnation: repeated feasible iterations with tiny steps and no
         # measurable merit progress mean the local structure is exhausted
-        if (improved < opts.ftol_rel * (1.0 + abs(v_val))
-                and step_norm <= opts.xtol_rel * (1.0 + _norm(x))):
+        if (improved < _FTOL_REL * (1.0 + abs(v_val))
+                and step_norm <= _XTOL_REL * (1.0 + _norm(x))):
             stall += 1
         else:
             stall = 0
-        if stall >= opts.stall_patience and cviol <= opts.constraint_tol:
+        if stall >= _STALL_PATIENCE and cviol <= opts.constraint_tol:
             status = "step-too-small"
             break
-        if rho < opts.shrink_threshold:
-            state.radius = opts.shrink_factor * step_norm
-        elif step_norm >= 0.8 * state.radius:
+        if rho < _SHRINK_THRESHOLD:
+            radius = _SHRINK_FACTOR * step_norm
+        elif step_norm >= 0.8 * radius:
             # boundary hit: enlarge on clearly good steps, and recover the
             # radius on moderately good ones so progress cannot stall
-            if rho > opts.expand_threshold:
-                state.radius = min(opts.expand_factor * state.radius, opts.delta_max)
-            elif rho >= opts.boundary_expand_ratio:
-                state.radius = min(max(opts.expand_factor * step_norm, state.radius),
-                                   opts.delta_max)
+            if rho > _EXPAND_THRESHOLD:
+                radius = min(_EXPAND_FACTOR * radius, _DELTA_MAX)
+            elif rho >= _BOUNDARY_EXPAND_RATIO:
+                radius = min(max(_EXPAND_FACTOR * step_norm, radius), _DELTA_MAX)
     else:
         it = opts.max_iter - 1
 
@@ -593,14 +583,13 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         jac = problem.jacobian(x)
         g = np.asarray(problem.grad(x), float)
         lam = lagrange_multipliers(g, factorize(jac))
-        state.multipliers = lam
         grad_l = g + (jac.T @ lam if problem.m else 0.0)
         kkt = float(np.max(np.abs(grad_l))) if problem.n else 0.0
     cviol = float(np.max(np.abs(c))) if problem.m else 0.0
 
     return SolverResult(
-        point=x, multipliers=state.multipliers, status=status, cost=v_val,
+        point=x, multipliers=lam, status=status, cost=v_val,
         kkt_residual=kkt, constraint_violation=cviol,
         iterations=it + (0 if status in ("converged", "non-finite") else 1),
-        n_eval=state.n_eval, wall_time=time.perf_counter() - t_start,
+        n_eval=n_eval, wall_time=time.perf_counter() - t_start,
         trace=trace)

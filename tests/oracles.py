@@ -66,14 +66,6 @@ def kkt_solve_quadratic(Q, b, A, d):
     return sol[:n], sol[n:]
 
 
-def sorted_median(values):
-    """Median straight from the definition on a sorted copy."""
-    vals = sorted(float(v) for v in values)
-    n = len(vals)
-    mid = n // 2
-    return vals[mid] if n % 2 else 0.5 * (vals[mid - 1] + vals[mid])
-
-
 def pem_cost_direct(model_step, theta, x0, y, out_fn):
     """Single-shooting cost from the definition: roll the state with
     model_step, read outputs with out_fn, average squared errors."""

@@ -14,16 +14,16 @@ import pytest
 
 from msid import (EstimationProblem, MsaPem, MultipleShooting, ShootingPlan,
                   SingleShooting, SolverOptions, as_nlp, gen_farina,
-                  incremental_k_schedule, simulate, solve)
+                  incremental_k_schedule, solve)
 from msid.cli import main
-from msid.experiments import (FARINA_TRUE, PENDULUM_TRUE, audited_median,
-                              study_options)
+from msid.experiments import FARINA_TRUE, PENDULUM_TRUE, study_options
 from msid.models import (LogisticMap, NeuralNetOE, Pendulum, farina_polynomial,
                          linear_oe_2nd, lower_to_state_space)
 from msid.smoothness import SmoothnessReport
 
 import oracles
 from test_models import ALL_FAMILIES
+from test_simulate import rollout
 from test_solver import KKT_CASES
 
 CRITERION_LINES = []
@@ -117,7 +117,7 @@ def test_criterion_02_split_cost_equals_full_cost():
         v_full = prob_ss.cost(np.concatenate([theta, x0]))
         if not np.isfinite(v_full):
             continue
-        states, _ = simulate(model, x0, ds, 0, n, theta)
+        states = rollout(model, x0, ds, 0, n, theta).states[0]
         seeds = [x0] + [states[s - 1] for s in plan.starts[1:]]
         prob_ms = EstimationProblem(model, ds, MultipleShooting(plan))
         phi = np.concatenate([theta] + seeds)
@@ -186,7 +186,7 @@ def test_criterion_04_logistic_recovery(logistic_sweep):
 
 
 def test_criterion_05_evaluation_count_ordering(logistic_sweep):
-    med = {k: audited_median([r["n_eval"] for r in v])
+    med = {k: np.median([r["n_eval"] for r in v])
            for k, v in logistic_sweep.items()}
     saturated = sum(r["n_eval"] >= 1000 for r in logistic_sweep["ms10"])
     ok = (med["ms2"] < med["ms5"] < med["ms10"]
@@ -290,8 +290,8 @@ def test_criterion_10_incremental_horizon_refinement():
             inc.append(float(np.linalg.norm(sched[-1][1].point[:2] - true)))
             res = solve(as_nlp(prob), prob.default_point(guess), opts)
             direct.append(float(np.linalg.norm(res.point[:2] - true)))
-    med_inc = audited_median(inc)
-    med_dir = audited_median(direct)
+    med_inc = np.median(inc)
+    med_dir = np.median(direct)
     ok = med_inc <= med_dir
     _report(10, ok, f"growing-horizon refinement median distance "
             f"{med_inc:.6f} <= one-shot horizon-30 median {med_dir:.6f}")

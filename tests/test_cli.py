@@ -297,6 +297,9 @@ BUILD_FAILURES = {
                          "config.formulation.incremental: unknown field"),
     "solver-trace": ("logistic_estimate_ms2", "solver.trace", True, 3,
                      "config.solver.trace: unknown field"),
+    # the trust-region policy is fixed in the solver, not a config key
+    "solver-shrink-factor": ("logistic_estimate_ms2", "solver.shrink_factor", 0.5, 3,
+                             "config.solver.shrink_factor: unknown field"),
     "pair-samples": ("logistic_smoothness", "smoothness.pair_samples", 2.5, 3,
                      "config.smoothness.pair_samples: expected an integer"),
     "dataset-n": ("logistic_estimate_ms2", "dataset.n", 10.7, 3,

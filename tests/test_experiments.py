@@ -6,9 +6,8 @@ import pytest
 
 from msid import (EstimationProblem, ExperimentResult, MsaPem,
                   MultipleShooting, ShootingPlan, SingleShooting, arx_fit,
-                  audited_median, gen_farina, gen_linear2nd, gen_logistic,
-                  gen_pendulum, grid_scan, linear_fit_r2, multi_start_study,
-                  total_variation)
+                  gen_farina, gen_linear2nd, gen_logistic, gen_pendulum,
+                  grid_scan, linear_fit_r2, multi_start_study, total_variation)
 from msid.cli import write_json
 from msid.experiments import (LINEAR2ND_SETTINGS, MonteCarloConfig,
                               held_gaussian, study_options, timing_study)
@@ -109,13 +108,6 @@ def test_farina_generator_structure():
 # ---------------------------------------------------------------------------
 # Small numeric helpers
 # ---------------------------------------------------------------------------
-
-def test_audited_median_matches_definition(rng):
-    for n in (1, 2, 5, 10, 101):
-        vals = rng.normal(size=n)
-        assert audited_median(vals) == pytest.approx(
-            oracles.sorted_median(vals), rel=1e-15)
-
 
 def test_linear_fit_r2_on_exact_line():
     x = np.array([1.0, 2.0, 3.0, 4.0])

@@ -1,12 +1,13 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msid import (BatchRollout, Dataset, DivergenceError, gen_logistic,
-                  run_intervals, simulate, simulate_with_sensitivities)
+import msid.simulate
+from msid import BatchRollout, Dataset, gen_logistic, run_intervals
 from msid.models import LogisticMap, Pendulum, linear_oe_2nd, lower_to_state_space
 from msid.models import regressor_matrices
 from msid.simulate import _STATE_LIMIT, IntervalPlan
@@ -15,10 +16,25 @@ import oracles
 from test_models import ALL_FAMILIES
 
 
+def rollout(model, x0, ds, start, length, theta, with_sens=False):
+    """One interval of ``ds``, from time ``start`` for ``length`` steps, as
+    a one-row ``run_intervals`` call."""
+    zy, zu = regressor_matrices(model, ds)
+    return run_intervals(model, np.asarray(theta, float), np.asarray(x0, float)[None, :],
+                         zy, zu, [start], [length], with_sens=with_sens)
+
+
+def test_package_exposes_the_simulate_module():
+    assert isinstance(msid.simulate, types.ModuleType)
+    assert callable(msid.simulate.run_intervals)
+    assert not [name for name in msid.__all__
+                if isinstance(getattr(msid, name), types.ModuleType)]
+
+
 def test_logistic_rollout_matches_hand_iteration(logistic_model):
     ds = gen_logistic(n=10)
-    states, preds = simulate(logistic_model, np.array([0.5]), ds, 0, 10,
-                             np.array([3.78]))
+    roll = rollout(logistic_model, [0.5], ds, 0, 10, [3.78])
+    states, preds = roll.states[0], roll.predictions[0]
     expect = oracles.logistic_sequence(3.78, 0.5, 10)
     np.testing.assert_allclose(preds[:, 0], expect, rtol=1e-15)
     np.testing.assert_allclose(states[:, 0], expect, rtol=1e-15)
@@ -29,8 +45,8 @@ def test_linear_rollout_matches_direct_recursion(linear_model, rng):
     u = rng.normal(size=n)
     ds = Dataset(u, np.zeros(n), {})
     theta = np.array([0.5, -0.2, 2.0])
-    _, preds = simulate(linear_model, np.zeros(linear_model.state_dim), ds,
-                        0, n, theta)
+    preds = rollout(linear_model, np.zeros(linear_model.state_dim), ds, 0, n,
+                    theta).predictions[0]
     # pre-record lags are held at the first sample, so u[-1] reads as u[0]
     expect = np.zeros(n)
     y1 = y2 = 0.0
@@ -45,19 +61,16 @@ def test_sensitivity_matches_finite_differences(logistic_model):
     ds = gen_logistic(n=15)
     theta = np.array([3.5])
     x0 = np.array([0.4])
-    trace = simulate_with_sensitivities(logistic_model, x0, ds, 0, 15, theta)
+    sens = rollout(logistic_model, x0, ds, 0, 15, theta, with_sens=True).output_sens[0]
 
     def preds_at(th, x):
-        _, p = simulate(logistic_model, np.atleast_1d(x), ds, 0, 15,
-                        np.atleast_1d(th))
-        return p[:, 0]
+        return rollout(logistic_model, np.atleast_1d(x), ds, 0, 15,
+                       np.atleast_1d(th)).predictions[0][:, 0]
 
     fd_th = oracles.fd_jacobian(lambda v: preds_at(v[0], x0), theta)
     fd_x0 = oracles.fd_jacobian(lambda v: preds_at(theta, v), x0)
-    np.testing.assert_allclose(trace.output_sens[:, 0, 0], fd_th[:, 0],
-                               rtol=1e-5)
-    np.testing.assert_allclose(trace.output_sens[:, 0, 1], fd_x0[:, 0],
-                               rtol=1e-5)
+    np.testing.assert_allclose(sens[:, 0, 0], fd_th[:, 0], rtol=1e-5)
+    np.testing.assert_allclose(sens[:, 0, 1], fd_x0[:, 0], rtol=1e-5)
 
 
 def test_sensitivity_initialization():
@@ -65,8 +78,6 @@ def test_sensitivity_initialization():
     model = lower_to_state_space(Pendulum())
     ds = gen_logistic(n=5)
     ds = Dataset(np.zeros(5), np.zeros(5), {})
-    trace = simulate_with_sensitivities(model, np.array([0.1, 0.0]), ds, 0, 1,
-                                        np.array([32.0, 2.0]))
     zy, zu = regressor_matrices(model, ds)
     roll = run_intervals(model, np.array([32.0, 2.0]),
                          np.array([[0.1, 0.0]]), zy, zu,
@@ -75,12 +86,12 @@ def test_sensitivity_initialization():
     np.testing.assert_array_equal(roll.end_state_sens[0, :, :2], 0.0)
 
 
-def test_divergence_raises_with_step():
+def test_divergence_flags_its_step():
     model = lower_to_state_space(LogisticMap())
     ds = gen_logistic(n=60)
-    with pytest.raises(DivergenceError) as err:
-        simulate(model, np.array([0.5]), ds, 0, 60, np.array([5.5]))
-    assert err.value.step >= 1
+    roll = rollout(model, [0.5], ds, 0, 60, [5.5])
+    assert roll.diverged[0]
+    assert roll.divergence_step[0] >= 1
 
 
 def test_batched_divergence_freezes_only_bad_rows():
@@ -103,8 +114,8 @@ def test_unequal_lengths_freeze_end_states(logistic_model):
                          np.array([[0.5], [0.4]]), zy, zu,
                          np.array([0, 5]), np.array([3, 7]), with_sens=False)
     # each end state equals a fresh rollout of exactly that interval
-    s0, _ = simulate(logistic_model, np.array([0.5]), ds, 0, 3, np.array([3.3]))
-    s1, _ = simulate(logistic_model, np.array([0.4]), ds, 5, 12, np.array([3.3]))
+    s0 = rollout(logistic_model, [0.5], ds, 0, 3, [3.3]).states[0]
+    s1 = rollout(logistic_model, [0.4], ds, 5, 7, [3.3]).states[0]
     assert roll.end_states[0, 0] == pytest.approx(s0[-1, 0], rel=1e-15)
     assert roll.end_states[1, 0] == pytest.approx(s1[-1, 0], rel=1e-15)
     assert not roll.valid[0, 3:].any() and roll.valid[1].all()
@@ -116,12 +127,13 @@ def test_unequal_lengths_freeze_end_states(logistic_model):
 def test_chained_intervals_equal_one_rollout(theta, split):
     model = lower_to_state_space(LogisticMap())
     ds = gen_logistic(n=15)
-    full_states, full_preds = simulate(model, np.array([0.5]), ds, 0, 15,
-                                       np.array([theta]))
+    full = rollout(model, [0.5], ds, 0, 15, [theta])
     # restart the second interval from the first interval's end state
-    s1, p1 = simulate(model, np.array([0.5]), ds, 0, split, np.array([theta]))
-    s2, p2 = simulate(model, s1[-1], ds, split, 15, np.array([theta]))
-    np.testing.assert_allclose(np.concatenate([p1, p2]), full_preds, rtol=1e-12)
+    first = rollout(model, [0.5], ds, 0, split, [theta])
+    second = rollout(model, first.states[0, -1], ds, split, 15 - split, [theta])
+    np.testing.assert_allclose(
+        np.concatenate([first.predictions[0], second.predictions[0]]),
+        full.predictions[0], rtol=1e-12)
 
 
 def _counting_transition(model):
@@ -193,12 +205,11 @@ def test_run_intervals_matches_per_interval_reference(family, seed, lengths,
     theta = (model.default_theta + 0.5 * rng.normal(size=model.theta_dim)) * theta_gain
     x0 = rng.normal(size=(b, nx)) * x0_scale
     args = (model, theta, x0, zy, zu, starts, lengths)
-    roll = run_intervals(*args, with_sens=with_sens, store_state_sens=with_sens)
+    roll = run_intervals(*args, with_sens=with_sens)
     # phase 2 alone, from the states of a cost-only call, has the same bits
     xs = run_intervals(*args, with_sens=False).xs
     del calls[:]
-    _assert_same_rollout(run_intervals(*args, with_sens=with_sens, store_state_sens=with_sens,
-                                       trajectory=xs), roll)
+    _assert_same_rollout(run_intervals(*args, with_sens=with_sens, trajectory=xs), roll)
     assert not calls
     _assert_curvature_only_matches(
         args, roll if with_sens else run_intervals(*args, with_sens=True))
@@ -220,8 +231,6 @@ def test_run_intervals_matches_per_interval_reference(family, seed, lengths,
             assert roll.output_sens is None and roll.end_state_sens is None
             continue
         last_d = dsens[-1] if good else eye
-        _assert_same(roll.state_sens[i], _padded(dsens, last_d, t_max, (nx, nc)),
-                     "state_sens")
         _assert_same(roll.end_state_sens[i], eye if div > 0 else last_d,
                      "end_state_sens")
         np.testing.assert_allclose(
@@ -229,8 +238,7 @@ def test_run_intervals_matches_per_interval_reference(family, seed, lengths,
             rtol=1e-12, atol=0, err_msg="output_sens")
 
 
-def _phase_two_case(family, seed, lengths, theta_gain, x0_rows,
-                    store_state_sens):
+def _phase_two_case(family, seed, lengths, theta_gain, x0_rows):
     """A cost-only rollout, a full sensitivity rollout, and a sensitivity
     rollout from the cost-only one's ``xs``: the last two must agree
     bit for bit, and the last must not call ``transition``; a
@@ -246,11 +254,10 @@ def _phase_two_case(family, seed, lengths, theta_gain, x0_rows,
     x0 = rng.normal(size=(len(lengths), model.state_dim)) * x0_rows
     args = (model, theta, x0, zy, zu, starts, lengths)
     cost_only = run_intervals(*args, with_sens=False)
-    full = run_intervals(*args, with_sens=True, store_state_sens=store_state_sens)
+    full = run_intervals(*args, with_sens=True)
     np.testing.assert_array_equal(cost_only.xs, full.xs)
     del calls[:]
-    reused = run_intervals(*args, with_sens=True, store_state_sens=store_state_sens,
-                           trajectory=cost_only.xs)
+    reused = run_intervals(*args, with_sens=True, trajectory=cost_only.xs)
     assert not calls
     _assert_same_rollout(reused, full)
     _assert_curvature_only_matches(args, full)
@@ -261,16 +268,14 @@ def _phase_two_case(family, seed, lengths, theta_gain, x0_rows,
                          ids=lambda f: lower_to_state_space(f).name)
 def test_phase_two_from_trajectory_covers_edge_cases(family):
     # unequal lengths with a zero-length interval and a row that diverges
-    # at its first step (a stateless model cannot diverge), with and
-    # without stored state sensitivities; each case also checks a
-    # curvature-only rollout
+    # at its first step (a stateless model cannot diverge); each case also
+    # checks a curvature-only rollout
     stateful = lower_to_state_space(family).state_dim > 0
-    for store in (False, True):
-        full = _phase_two_case(family, 7, [5, 8, 0, 3], 1.0,
-                               np.array([[0.3], [1e160], [0.3], [0.3]]), store)
-        assert full.diverged.tolist() == [False, stateful, False, False]
+    full = _phase_two_case(family, 7, [5, 8, 0, 3], 1.0,
+                           np.array([[0.3], [1e160], [0.3], [0.3]]))
+    assert full.diverged.tolist() == [False, stateful, False, False]
     # t_max == 0
-    full = _phase_two_case(family, 7, [0, 0], 1.0, 0.3, True)
+    full = _phase_two_case(family, 7, [0, 0], 1.0, 0.3)
     assert full.states.shape[1] == 0
     model = lower_to_state_space(family)
     zy, zu = regressor_matrices(model, Dataset(np.zeros(4), np.zeros(4), {}))

@@ -96,7 +96,7 @@ def test_vertical_step_respects_radius_fraction(rng):
     jac = rng.normal(size=(2, 5))
     c = 100.0 * rng.normal(size=2)
     delta = 0.5
-    v = vertical_step(JacobianSvd.of(jac), c, delta=delta, eta=0.8)
+    v = vertical_step(JacobianSvd.of(jac), c, delta=delta)
     assert np.linalg.norm(v) <= 0.8 * delta + 1e-12
     # and it still reduces the linearized infeasibility
     assert np.linalg.norm(jac @ v + c) < np.linalg.norm(c)
@@ -501,8 +501,8 @@ def _fresh_problem_nlp(model, dataset, form):
 ], ids=["single-shooting", "ms16", "logistic-ms2"])
 def test_cached_solve_equals_uncached_solve(family, form, theta0, monkeypatch):
     # the problem's cache, its reuse of a costed point's states for the
-    # gradient there, its J(phi)'lam slot and its KKT band layout must not
-    # change a single bit of a capped solve (n_x = 2 and n_x = 1)
+    # gradient there and its J(phi)'lam slot must not change a single bit
+    # of a capped solve (n_x = 2 and n_x = 1)
     if family == "pendulum":
         model = lower_to_state_space(Pendulum())
         ds = gen_pendulum("b", seed=0, n=256)
