@@ -20,7 +20,8 @@ from .models import (LogisticMap, Pendulum, farina_polynomial, linear_arx,
                      linear_oe_2nd, lower_to_state_space)
 from .objective import (EstimationProblem, MsaPem, MultipleShooting,
                         ShootingPlan, SingleShooting, as_nlp)
-from .solver import SolverOptions, solve
+from . import solver
+from .solver import SolverOptions
 
 PENDULUM_TRUE = (9.8 / 0.3, 2.0)
 
@@ -266,7 +267,8 @@ def estimate(model_family, dataset: Dataset, method: str, theta_init=None,
     form = _build_formulation(method, dataset.n)
     problem = EstimationProblem(model, dataset, form)
     phi0 = problem.default_point(theta_init)
-    res = solve(as_nlp(problem), phi0, solver_options or SolverOptions())
+    # looked up at call time, so a wrapper put on msid.solver.solve sees it
+    res = solver.solve(as_nlp(problem), phi0, solver_options or SolverOptions())
     theta = res.point[: model.theta_dim]
     return theta, {"status": res.status, "n_eval": res.n_eval,
                    "wall_time": res.wall_time, "cost": res.cost,
@@ -292,7 +294,7 @@ def multi_start_study(problem: EstimationProblem, guesses,
     for guess in guesses:
         guess = np.atleast_1d(np.asarray(guess, float))
         phi0 = problem.default_point(guess)
-        res = solve(as_nlp(problem), phi0, opts)
+        res = solver.solve(as_nlp(problem), phi0, opts)
         theta = res.point[: problem.model.theta_dim]
         rec = {"guess": guess.tolist(), "theta": theta.tolist(),
                "cost": res.cost, "status": res.status,

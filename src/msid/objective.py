@@ -110,6 +110,7 @@ class _FullEval:
     end_state_sens: np.ndarray | None = None
     n_res: int = 0
     diverged: bool = False
+    xs: np.ndarray | None = None             # phase-1 states, cost-only entries
 
 
 class EstimationProblem:
@@ -117,18 +118,22 @@ class EstimationProblem:
 
     A decision vector phi is theta followed by the free seeds, one state
     per interval (multiple shooting), one in all (single shooting with
-    ``optimize_x0``) or none; ``split`` returns the two parts.  The interval
-    plan (regressor gathers, masks, residual targets and any data-built
-    seeds) is built once.  Evaluations are cached by the point's
-    bytes in 8 entries, the oldest evicted for a new point, so cost,
-    gradient, constraints and their Jacobian at one point share one rollout.
+    ``optimize_x0``) or none; ``split`` returns the two parts.  What the
+    problem builds from data is built once, in ``__init__``: the interval
+    plan, the seeds when they are not decided, the measured outputs the
+    residuals compare with, and the number of leading residuals discarded
+    (``n_transient`` for single shooting from a fixed x0, else none).
+
+    Evaluations are cached by the point's bytes in 8 entries, the oldest
+    evicted for a new point, so cost, gradient, constraints and their
+    Jacobian at one point share one rollout.  A cost-only entry keeps its
+    rollout's phase-1 states, so a gradient, sensitivity or curvature
+    request at that point runs only phase 2, with the bits of a full
+    rollout.
     A finite-difference curvature point new to the cache gets a rollout
-    without outputs, whose entry serves only curvature requests.  The
-    phase-1 states of the latest cost-only rollout are kept in one slot: a
-    gradient requested at that point next (the solver's accepted trial
-    point) runs only the sensitivity phase, with the bits of a full rollout.
-    J(phi)' lam, which every Lagrangian Hessian product of an SQP iteration
-    reads at the same (phi, lam), is kept in one slot keyed by their bytes.
+    without outputs, whose entry serves only curvature requests.  J(phi)'
+    lam, which every Lagrangian Hessian product of an SQP iteration reads
+    at the same (phi, lam), is kept in one slot keyed by their bytes.
     """
 
     def __init__(self, model: StateSpaceModel, dataset: Dataset,
@@ -138,14 +143,14 @@ class EstimationProblem:
         self.formulation = formulation
         self._zy, self._zu = regressor_matrices(model, dataset)
         self._cache: dict[bytes, _FullEval] = {}
-        # (key, phase-1 states) of the latest cost-only rollout
-        self._trajectory: tuple[bytes, np.ndarray] | None = None
         # ((phi bytes, lam bytes), J(phi)' lam, sqrt(eps) (1 + ||phi||))
         self._jt_lam: tuple[tuple[bytes, bytes], np.ndarray, float] | None = None
         if isinstance(formulation, MultipleShooting):
             if formulation.plan.boundaries[-1] != dataset.n:
                 raise ValueError("shooting plan must cover the dataset exactly")
-        self._plan = self._build_plan()
+        self._plan, self._seeds, self._targets = self._build_plan()
+        fixed_x0 = isinstance(formulation, SingleShooting) and not formulation.optimize_x0
+        self._discard = model.n_transient if fixed_x0 else 0
 
     # -- layout ------------------------------------------------------------
 
@@ -191,22 +196,22 @@ class EstimationProblem:
 
     # -- shared evaluation -------------------------------------------------
 
-    def _build_plan(self) -> IntervalPlan:
-        """The intervals' plan, holding the data-built seeds when the seeds
-        are not decided and the measured outputs the residuals compare with."""
+    def _build_plan(self):
+        """(interval plan, data-built seeds or None when the seeds are
+        decided, measured outputs the residuals compare with)."""
         f, y, n = self.formulation, self.dataset.y, self.dataset.n
         if isinstance(f, MsaPem):
             k = np.arange(1, n + 1)
             starts = np.maximum(0, k - f.horizon)
-            return IntervalPlan.of(self.model, self._zy, self._zu, starts, k - starts,
-                                   seeds=self.heuristic_seeds_msa(starts), targets=y[:, None])
+            return (IntervalPlan.of(self.model, self._zy, self._zu, starts, k - starts),
+                    self.heuristic_seeds_msa(starts), y[:, None])
         starts, lengths = ((f.plan.starts, f.plan.lengths) if isinstance(f, MultipleShooting)
                            else (np.array([0]), np.array([n])))
         # shooting residual at global time starts[i] + t
         kk = starts[:, None] + np.arange(1, int(lengths.max()) + 1)[None, :]
-        return IntervalPlan.of(self.model, self._zy, self._zu, starts, lengths,
-                               seeds=self.heuristic_seeds() if self.n_seeds == 0 else None,
-                               targets=y[np.clip(kk - 1, 0, len(y) - 1)][:, :, None])
+        return (IntervalPlan.of(self.model, self._zy, self._zu, starts, lengths),
+                self.heuristic_seeds() if self.n_seeds == 0 else None,
+                y[np.clip(kk - 1, 0, len(y) - 1)][:, :, None])
 
     def heuristic_seeds_msa(self, starts) -> np.ndarray:
         y, u = self.dataset.y, self.dataset.u
@@ -226,31 +231,28 @@ class EstimationProblem:
         with_sens = with_sens or curvature
         outputs = not (curvature and hit is None)
         theta, x0s = self.split(phi)
-        plan = self._plan
-        kept = self._trajectory
-        xs = kept[1] if with_sens and kept is not None and kept[0] == key else None
-        roll = run_intervals(self.model, theta, x0s if plan.seeds is None else plan.seeds,
-                             self._zy, self._zu, plan.starts, plan.lengths, with_sens=with_sens,
-                             trajectory=xs, outputs=outputs, plan=plan)
-        self._trajectory = None if with_sens else (key, roll.xs)
+        roll = run_intervals(self.model, theta, x0s if self._seeds is None else self._seeds,
+                             self._plan, with_sens=with_sens,
+                             trajectory=None if hit is None else hit.xs, outputs=outputs)
         ev = (self._assemble(roll) if outputs
               else _FullEval(np.nan, end_state_sens=roll.end_state_sens))
+        if not with_sens:
+            ev.xs = roll.xs
         if hit is None and len(self._cache) >= 8:
             self._cache.pop(next(iter(self._cache)))
         self._cache[key] = ev
         return ev
 
     def _assemble(self, roll) -> _FullEval:
-        f, plan = self.formulation, self._plan
-        lengths = plan.lengths
-        if isinstance(f, MsaPem):
+        lengths = self._plan.lengths
+        if isinstance(self.formulation, MsaPem):
             # only the last step of each window predicts
             idx = lengths - 1
             b = len(lengths)
             preds = roll.predictions[np.arange(b), idx]         # (B, N_out)
             jout = (roll.output_sens[np.arange(b), idx][:, None, :, :]
                     if roll.output_sens is not None else None)
-            res = preds - plan.targets
+            res = preds - self._targets
             ok = ~roll.diverged
             n_res = int(ok.sum())
             cost = float(np.sum(res[ok] ** 2) / n_res) if n_res else np.inf
@@ -258,14 +260,12 @@ class EstimationProblem:
                              residuals=res[:, None, :], output_sens=jout,
                              n_res=n_res, diverged=roll.any_diverged)
 
-        res = np.where(roll.valid[:, :, None], roll.predictions - plan.targets, 0.0)
-        discard = 0
-        if isinstance(f, SingleShooting) and not f.optimize_x0:
-            discard = self.model.n_transient
-            res[:, :discard, :] = 0.0
+        res = np.where(roll.valid[:, :, None], roll.predictions - self._targets, 0.0)
+        discard = self._discard
+        res[:, :discard, :] = 0.0
         sq = np.sum(res ** 2, axis=(1, 2))                      # (B,)
         n_res = int(lengths.sum()) - discard
-        interval_costs = sq / np.maximum(lengths - (discard if isinstance(f, SingleShooting) else 0), 1)
+        interval_costs = sq / np.maximum(lengths - discard, 1)
         cost = float(sq.sum() / max(n_res, 1))
         if roll.any_diverged:
             cost = np.inf
@@ -310,10 +310,8 @@ class EstimationProblem:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         _, x0s = self.split(np.concatenate([thetas[0], np.ravel(seeds)]))
         starts = self._plan.starts
-        x0s = x0s if self._plan.seeds is None else self._plan.seeds
-        model, y, n = self.model, self.dataset.y, self.dataset.n
-        discard = (model.n_transient
-                   if isinstance(f, SingleShooting) and not f.optimize_x0 else 0)
+        x0s = x0s if self._seeds is None else self._seeds
+        model, y, n, discard = self.model, self.dataset.y, self.dataset.n, self._discard
         g = thetas.shape[0]
         th = np.ascontiguousarray(thetas.T)
         # zero-stride views: every row reads the same regressors and seeds

@@ -18,13 +18,14 @@ last good values and its predictions and output sensitivities are zero,
 and its end values are x0 and [0 | I].  A single interval is a one-row
 call.
 
-Phase 2 is a pure function of the phase-1 states.  Every rollout returns
-them time-major as ``xs`` (T+1, B, N_x); passing them back as
-``trajectory`` to a call with the same model, theta, seeds and intervals
-skips phase 1, so sensitivities at a point whose cost-only rollout has
-just run cost phase 2 alone and carry the bits of a full call.  What
-depends only on the record and the intervals is an ``IntervalPlan``, built
-once by a caller that rolls them out often; ``outputs=False`` stops at the
+The intervals are described by an ``IntervalPlan`` alone: their starts
+and lengths and everything else that depends only on the record and the
+intervals, built once by a caller that rolls them out often.  Phase 2 is
+a pure function of the phase-1 states.  Every rollout returns them
+time-major as ``xs`` (T+1, B, N_x); passing them back as ``trajectory`` to
+a call with the same model, theta, seeds and plan skips phase 1, so
+sensitivities at a point whose cost-only rollout has run cost phase 2
+alone and carry the bits of a full call.  ``outputs=False`` stops at the
 end states and end sensitivities, all a curvature rollout needs.
 """
 from __future__ import annotations
@@ -42,8 +43,6 @@ _STATE_LIMIT = 1e150
 class BatchRollout:
     """Lockstep rollout of B intervals with possibly unequal lengths."""
 
-    starts: np.ndarray        # (B,)
-    lengths: np.ndarray       # (B,)
     states: np.ndarray        # (B, T, N_x); rows past an interval's end are frozen
     predictions: np.ndarray | None       # (B, T, N_out), None without outputs
     output_sens: np.ndarray | None       # (B, T, N_out, nc)
@@ -61,10 +60,10 @@ class BatchRollout:
 
 @dataclass(frozen=True)
 class IntervalPlan:
-    """What a rollout of B intervals needs that depends only on the record
-    and the intervals, not on theta or the seeds; a caller that rolls out
-    the same intervals many times builds it once and passes it on, and may
-    keep its own data-built values in it (``seeds``, ``targets``)."""
+    """B intervals of a record and what a rollout of them needs that does
+    not depend on theta or the seeds; a caller that rolls out the same
+    intervals many times builds it once with ``of`` and passes it on.
+    Interval b covers times starts[b]+1 .. starts[b]+lengths[b]."""
 
     starts: np.ndarray        # (B,)
     lengths: np.ndarray       # (B,)
@@ -74,11 +73,9 @@ class IntervalPlan:
     in_length: np.ndarray     # (T, B) bool, step t+1 lies within interval b
     full: bool                # every interval runs all T steps
     d0: np.ndarray            # (B, N_x, nc) sensitivity seed [0 | I]
-    seeds: np.ndarray | None = None
-    targets: np.ndarray | None = None
 
     @classmethod
-    def of(cls, model: StateSpaceModel, zy, zu, starts, lengths, **kept) -> "IntervalPlan":
+    def of(cls, model: StateSpaceModel, zy, zu, starts, lengths) -> "IntervalPlan":
         starts, lengths = np.asarray(starts, dtype=int), np.asarray(lengths, dtype=int)
         b, nx, nth = len(starts), model.state_dim, model.theta_dim
         t_max = int(lengths.max()) if lengths.size else 0
@@ -88,33 +85,27 @@ class IntervalPlan:
         window = RegressorWindow(zyt.reshape(t_max * b, zy.shape[1]),
                                  zut.reshape(t_max * b, zu.shape[1]))
         return cls(starts, lengths, zyt, zut, window, np.arange(1, t_max + 1)[:, None] <= lengths,
-                   bool((lengths == t_max).all()), np.tile(np.eye(nx, nx + nth, nth), (b, 1, 1)),
-                   **kept)
+                   bool((lengths == t_max).all()), np.tile(np.eye(nx, nx + nth, nth), (b, 1, 1)))
 
 
-def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
+def run_intervals(model: StateSpaceModel, theta, x0, plan: IntervalPlan,
                   with_sens: bool, trajectory: np.ndarray | None = None,
-                  outputs: bool = True, plan: IntervalPlan | None = None) -> BatchRollout:
+                  outputs: bool = True) -> BatchRollout:
     """Roll out B intervals in lockstep.
 
-    ``x0`` is (B, N_x); interval i covers times starts[i]+1 ..
-    starts[i]+lengths[i], reading regressor rows from (zy, zu).
-    Diverged intervals freeze in place and are flagged rather than
-    raising, so one bad interval cannot poison the batch.
+    ``x0`` is (B, N_x), one seed per interval of ``plan``.  Diverged
+    intervals freeze in place and are flagged rather than raising, so one
+    bad interval cannot poison the batch.
 
     ``trajectory`` is the ``xs`` of an earlier call with the same model,
-    theta, x0, zy, zu, starts and lengths; when given, the per-step state
-    update is skipped and only phase 2 runs, with the same result.
-    ``outputs=False`` skips the output map and the output sensitivities
-    (``predictions`` and ``output_sens`` are None); the end states and end
-    sensitivities keep their bits.  ``plan`` is ``IntervalPlan.of(model,
-    zy, zu, starts, lengths)``.
+    theta, x0 and plan; when given, the per-step state update is skipped
+    and only phase 2 runs, with the same result.  ``outputs=False`` skips
+    the output map and the output sensitivities (``predictions`` and
+    ``output_sens`` are None); the end states and end sensitivities keep
+    their bits.
     """
     theta = np.asarray(theta, dtype=float)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    if plan is None:
-        plan = IntervalPlan.of(model, zy, zu, starts, lengths)
-    starts, lengths = plan.starts, plan.lengths
     b = x0.shape[0]
     nx, nth, nout = model.state_dim, model.theta_dim, model.output_dim
     nc = nth + nx
@@ -167,7 +158,7 @@ def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
         diverged = bad.any(axis=0)
         div_step = np.where(diverged, bad.argmax(axis=0) + 1, -1)
         # index into xs of each interval's last good state
-        last = np.where(diverged, div_step - 1, lengths)
+        last = np.where(diverged, div_step - 1, plan.lengths)
         steps = np.arange(1, t_max + 1)[:, None]
         held = np.minimum(steps, last)
         cols = np.arange(b)
@@ -176,17 +167,17 @@ def run_intervals(model: StateSpaceModel, theta, x0, zy, zu, starts, lengths,
         valid = np.ascontiguousarray(valid_t.T)
         if outputs:
             preds = np.where(valid_t[:, :, None], preds, 0.0)
-        end_states = np.where(diverged[:, None], x0, xs[lengths, cols])
+        end_states = np.where(diverged[:, None], x0, xs[plan.lengths, cols])
         end_sens = None
         if with_sens:
             if outputs:
                 jout = np.where(valid_t[:, :, None, None], jout, 0.0)
-            end_sens = np.where(diverged[:, None, None], plan.d0, dmat[lengths, cols])
+            end_sens = np.where(diverged[:, None, None], plan.d0, dmat[plan.lengths, cols])
 
     def batch_major(arr):
         # C-contiguous, so callers' sums over B and T keep a batch-major order
         return None if arr is None else np.ascontiguousarray(arr.swapaxes(0, 1))
 
-    return BatchRollout(starts, lengths, batch_major(states), batch_major(preds),
+    return BatchRollout(batch_major(states), batch_major(preds),
                         batch_major(jout), end_states, end_sens, valid, diverged,
                         div_step, xs)

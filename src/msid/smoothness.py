@@ -129,6 +129,39 @@ def _sample_pairs(box, n_pairs, separations, rng):
     return pairs
 
 
+def _sampled_sup(value, gap, param_box, pair_samples, separations, seed,
+                 deriv=None) -> PairEstimate:
+    """Largest ``gap(value(a), value(b)) / ||a - b||`` over the sampled
+    pairs, joined by the largest ||deriv(p, d)|| over uniform points p with
+    random unit directions d when ``deriv`` is given; pairs or points with
+    a non-finite value are excluded and counted."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    n_used = 0
+    n_excl = 0
+    for a, b in _sample_pairs(param_box, pair_samples, separations, rng):
+        dist = np.linalg.norm(a - b)
+        if dist == 0:
+            continue
+        va, vb = value(a), value(b)
+        if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):
+            n_excl += 1
+            continue
+        n_used += 1
+        best = max(best, gap(va, vb) / dist)
+    if deriv is not None:
+        lo, hi = (np.atleast_1d(np.asarray(b, float)) for b in param_box)
+        pts = rng.uniform(*np.broadcast_arrays(lo, hi),
+                          size=(max(pair_samples // 2, 1), len(lo)))
+        for p, d in zip(pts, rng.normal(size=pts.shape)):
+            dp = np.asarray(deriv(p, d / np.linalg.norm(d)), float)
+            if np.all(np.isfinite(dp)):
+                best = max(best, float(np.linalg.norm(dp)))
+            else:
+                n_excl += 1
+    return PairEstimate(best, n_used, n_excl)
+
+
 def estimate_lipschitz(cost, param_box, pair_samples: int = 200,
                        separations=DEFAULT_SEPARATIONS, seed: int = 0,
                        grad=None) -> PairEstimate:
@@ -141,31 +174,8 @@ def estimate_lipschitz(cost, param_box, pair_samples: int = 200,
     sampled sup still under-estimates it, so the lower-bound contract is
     kept while fine-scale growth stays visible).
     """
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    n_used = 0
-    n_excl = 0
-    for a, b in _sample_pairs(param_box, pair_samples, separations, rng):
-        dist = np.linalg.norm(a - b)
-        if dist == 0:
-            continue
-        va, vb = cost(a), cost(b)
-        if not (np.isfinite(va) and np.isfinite(vb)):
-            n_excl += 1
-            continue
-        n_used += 1
-        best = max(best, abs(va - vb) / dist)
-    if grad is not None:
-        lo, hi = (np.atleast_1d(np.asarray(b, float)) for b in param_box)
-        pts = rng.uniform(*np.broadcast_arrays(lo, hi),
-                          size=(max(pair_samples // 2, 1), len(np.atleast_1d(lo))))
-        for p in pts:
-            g = np.asarray(grad(p), float)
-            if np.all(np.isfinite(g)):
-                best = max(best, float(np.linalg.norm(g)))
-            else:
-                n_excl += 1
-    return PairEstimate(best, n_used, n_excl)
+    return _sampled_sup(cost, lambda va, vb: abs(va - vb), param_box, pair_samples,
+                        separations, seed, None if grad is None else lambda p, d: grad(p))
 
 
 def estimate_beta(grad, param_box, pair_samples: int = 200,
@@ -177,34 +187,9 @@ def estimate_beta(grad, param_box, pair_samples: int = 200,
     differences; an optional ``hess_vec(point, direction)`` callback adds
     sampled curvature norms to the bound.
     """
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    n_used = 0
-    n_excl = 0
-    for a, b in _sample_pairs(param_box, pair_samples, separations, rng):
-        dist = np.linalg.norm(a - b)
-        if dist == 0:
-            continue
-        ga, gb = np.asarray(grad(a), float), np.asarray(grad(b), float)
-        if not (np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))):
-            n_excl += 1
-            continue
-        n_used += 1
-        best = max(best, float(np.linalg.norm(ga - gb)) / dist)
-    if hess_vec is not None:
-        lo, hi = (np.atleast_1d(np.asarray(b, float)) for b in param_box)
-        dim = len(np.atleast_1d(lo))
-        pts = rng.uniform(*np.broadcast_arrays(lo, hi),
-                          size=(max(pair_samples // 2, 1), dim))
-        for p in pts:
-            d = rng.normal(size=dim)
-            d /= np.linalg.norm(d)
-            hv = np.asarray(hess_vec(p, d), float)
-            if np.all(np.isfinite(hv)):
-                best = max(best, float(np.linalg.norm(hv)))
-            else:
-                n_excl += 1
-    return PairEstimate(best, n_used, n_excl)
+    return _sampled_sup(lambda p: np.asarray(grad(p), float),
+                        lambda ga, gb: float(np.linalg.norm(ga - gb)), param_box,
+                        pair_samples, separations, seed, hess_vec)
 
 
 def regime_fit(lengths, estimates, contraction: float | None = None,

@@ -361,8 +361,8 @@ def vertical_step(fac, c: np.ndarray, delta: float):
     solution of Jv = -c.  Returns v.
     """
     jac = fac.jac
-    m, n = jac.shape
-    if m == 0 or not np.any(c):
+    n = jac.shape[1]
+    if not np.any(c):
         return np.zeros(n)
     bound = _ETA * delta
     g = jac.T @ c
@@ -381,11 +381,7 @@ def vertical_step(fac, c: np.ndarray, delta: float):
     if _norm(v_c) >= bound:
         return -(bound / gn) * g
     d = v_n - v_c
-    a = float(d @ d)
-    b = 2.0 * float(v_c @ d)
-    cc = float(v_c @ v_c) - bound ** 2
-    tau = (-b + np.sqrt(max(b * b - 4 * a * cc, 0.0))) / (2 * a)
-    return v_c + tau * d
+    return v_c + _to_boundary(v_c, d, bound) * d
 
 
 def horizontal_step(grad: np.ndarray, hess_op: Callable, fac,
@@ -485,9 +481,9 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         jac = problem.jacobian(x)
         fac = factorize(jac)
         lam = lagrange_multipliers(g, fac)
-        grad_l = g + (jac.T @ lam if problem.m else 0.0)
-        kkt = float(np.max(np.abs(grad_l))) if problem.n else 0.0
-        cviol = float(np.max(np.abs(c))) if problem.m else 0.0
+        grad_l = g + jac.T @ lam
+        kkt = float(np.max(np.abs(grad_l), initial=0.0))
+        cviol = float(np.max(np.abs(c), initial=0.0))
         if not (np.isfinite(kkt) and np.all(np.isfinite(lam))):
             status = "non-finite"
             break
@@ -511,9 +507,9 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
             status = "non-finite"
             break
         qp = float(g @ p) + 0.5 * float(p @ hp)
-        vpred = (_norm(c) - _norm(jac @ p + c)) if problem.m else 0.0
+        vpred = _norm(c) - _norm(jac @ p + c)
 
-        if problem.m and vpred > 1e-16 and cviol > 10 * opts.constraint_tol:
+        if vpred > 1e-16 and cviol > 10 * opts.constraint_tol:
             # ensure the predicted merit reduction dominates mu*vpred/2; near
             # feasibility steps are tangential and vpred is rounding-level,
             # so raising mu there would only poison the merit ratio
@@ -521,7 +517,7 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
             if penalty < mu_req:
                 margin = opts.penalty_margin
                 penalty = max(mu_req + margin,
-                              (np.max(np.abs(lam)) if lam.size else 0.0) * 2.0 + margin,
+                              np.max(np.abs(lam), initial=0.0) * 2.0 + margin,
                               penalty)
         predicted = -qp + penalty * vpred
 
@@ -553,7 +549,7 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
             x = x_trial
             v_val = v_trial
             c = c_trial
-            cviol = float(np.max(np.abs(c))) if problem.m else 0.0
+            cviol = float(np.max(np.abs(c), initial=0.0))
 
         # stagnation: repeated feasible iterations with tiny steps and no
         # measurable merit progress mean the local structure is exhausted
@@ -583,9 +579,9 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         jac = problem.jacobian(x)
         g = np.asarray(problem.grad(x), float)
         lam = lagrange_multipliers(g, factorize(jac))
-        grad_l = g + (jac.T @ lam if problem.m else 0.0)
-        kkt = float(np.max(np.abs(grad_l))) if problem.n else 0.0
-    cviol = float(np.max(np.abs(c))) if problem.m else 0.0
+        grad_l = g + jac.T @ lam
+        kkt = float(np.max(np.abs(grad_l), initial=0.0))
+    cviol = float(np.max(np.abs(c), initial=0.0))
 
     return SolverResult(
         point=x, multipliers=lam, status=status, cost=v_val,

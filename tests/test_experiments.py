@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import msid.solver
 from msid import (EstimationProblem, ExperimentResult, MsaPem,
                   MultipleShooting, ShootingPlan, SingleShooting, arx_fit,
                   gen_farina, gen_linear2nd, gen_logistic, gen_pendulum,
@@ -155,6 +156,24 @@ def test_multi_start_study_counts_successes():
     assert res.summaries["successes"] == 2
     assert len(res.records) == 2
     assert all(abs(r["theta"][0] - 3.78) < 1e-3 for r in res.records)
+
+
+def test_multi_start_study_solves_through_the_solver_module(monkeypatch):
+    # a wrapper put on msid.solver.solve (the benchmark probe's span) must
+    # see every solve of a study
+    calls = []
+    solve = msid.solver.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(msid.solver, "solve", counted)
+    prob = EstimationProblem(lower_to_state_space(LogisticMap()),
+                             gen_logistic(n=40),
+                             MultipleShooting(ShootingPlan.from_max_len(40, 2)))
+    res = multi_start_study(prob, [3.5, 3.7], study_options(max_iter=5))
+    assert len(res.records) == 2
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("field, value, message", [

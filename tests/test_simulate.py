@@ -19,9 +19,9 @@ from test_models import ALL_FAMILIES
 def rollout(model, x0, ds, start, length, theta, with_sens=False):
     """One interval of ``ds``, from time ``start`` for ``length`` steps, as
     a one-row ``run_intervals`` call."""
-    zy, zu = regressor_matrices(model, ds)
+    plan = IntervalPlan.of(model, *regressor_matrices(model, ds), [start], [length])
     return run_intervals(model, np.asarray(theta, float), np.asarray(x0, float)[None, :],
-                         zy, zu, [start], [length], with_sens=with_sens)
+                         plan, with_sens=with_sens)
 
 
 def test_package_exposes_the_simulate_module():
@@ -78,10 +78,9 @@ def test_sensitivity_initialization():
     model = lower_to_state_space(Pendulum())
     ds = gen_logistic(n=5)
     ds = Dataset(np.zeros(5), np.zeros(5), {})
-    zy, zu = regressor_matrices(model, ds)
-    roll = run_intervals(model, np.array([32.0, 2.0]),
-                         np.array([[0.1, 0.0]]), zy, zu,
-                         np.array([0]), np.array([0]), with_sens=True)
+    plan = IntervalPlan.of(model, *regressor_matrices(model, ds), [0], [0])
+    roll = run_intervals(model, np.array([32.0, 2.0]), np.array([[0.1, 0.0]]), plan,
+                         with_sens=True)
     np.testing.assert_array_equal(roll.end_state_sens[0, :, 2:], np.eye(2))
     np.testing.assert_array_equal(roll.end_state_sens[0, :, :2], 0.0)
 
@@ -97,10 +96,9 @@ def test_divergence_flags_its_step():
 def test_batched_divergence_freezes_only_bad_rows():
     model = lower_to_state_space(LogisticMap())
     ds = gen_logistic(n=30)
-    zy, zu = regressor_matrices(model, ds)
-    roll = run_intervals(model, np.array([5.5]),
-                         np.array([[0.5], [0.0]]), zy, zu,
-                         np.array([0, 0]), np.array([30, 30]), with_sens=False)
+    plan = IntervalPlan.of(model, *regressor_matrices(model, ds), [0, 0], [30, 30])
+    roll = run_intervals(model, np.array([5.5]), np.array([[0.5], [0.0]]), plan,
+                         with_sens=False)
     assert roll.diverged[0] and not roll.diverged[1]
     assert roll.divergence_step[0] >= 1
     assert np.all(np.isfinite(roll.states[1]))
@@ -109,10 +107,10 @@ def test_batched_divergence_freezes_only_bad_rows():
 
 def test_unequal_lengths_freeze_end_states(logistic_model):
     ds = gen_logistic(n=20)
-    zy, zu = regressor_matrices(logistic_model, ds)
-    roll = run_intervals(logistic_model, np.array([3.3]),
-                         np.array([[0.5], [0.4]]), zy, zu,
-                         np.array([0, 5]), np.array([3, 7]), with_sens=False)
+    plan = IntervalPlan.of(logistic_model, *regressor_matrices(logistic_model, ds),
+                           [0, 5], [3, 7])
+    roll = run_intervals(logistic_model, np.array([3.3]), np.array([[0.5], [0.4]]), plan,
+                         with_sens=False)
     # each end state equals a fresh rollout of exactly that interval
     s0 = rollout(logistic_model, [0.5], ds, 0, 3, [3.3]).states[0]
     s1 = rollout(logistic_model, [0.4], ds, 5, 7, [3.3]).states[0]
@@ -161,11 +159,9 @@ def _assert_same_rollout(actual, expected):
 
 
 def _assert_curvature_only_matches(args, full):
-    """A rollout without outputs, from a prebuilt plan, has the end values
-    and divergence of a full sensitivity rollout, bit for bit."""
-    model, _, _, zy, zu, starts, lengths = args
-    plan = IntervalPlan.of(model, zy, zu, starts, lengths)
-    curv = run_intervals(*args, with_sens=True, outputs=False, plan=plan)
+    """A rollout without outputs has the end values and divergence of a
+    full sensitivity rollout, bit for bit."""
+    curv = run_intervals(*args, with_sens=True, outputs=False)
     assert curv.predictions is None and curv.output_sens is None
     assert curv.states.shape[:2] == full.states.shape[:2]
     for name in ("end_states", "end_state_sens", "diverged", "divergence_step"):
@@ -204,7 +200,7 @@ def test_run_intervals_matches_per_interval_reference(family, seed, lengths,
     starts = rng.integers(0, n, size=b)
     theta = (model.default_theta + 0.5 * rng.normal(size=model.theta_dim)) * theta_gain
     x0 = rng.normal(size=(b, nx)) * x0_scale
-    args = (model, theta, x0, zy, zu, starts, lengths)
+    args = (model, theta, x0, IntervalPlan.of(model, zy, zu, starts, lengths))
     roll = run_intervals(*args, with_sens=with_sens)
     # phase 2 alone, from the states of a cost-only call, has the same bits
     xs = run_intervals(*args, with_sens=False).xs
@@ -252,7 +248,7 @@ def _phase_two_case(family, seed, lengths, theta_gain, x0_rows):
     starts = rng.integers(0, n, size=len(lengths))
     theta = (model.default_theta + 0.5 * rng.normal(size=model.theta_dim)) * theta_gain
     x0 = rng.normal(size=(len(lengths), model.state_dim)) * x0_rows
-    args = (model, theta, x0, zy, zu, starts, lengths)
+    args = (model, theta, x0, IntervalPlan.of(model, zy, zu, starts, lengths))
     cost_only = run_intervals(*args, with_sens=False)
     full = run_intervals(*args, with_sens=True)
     np.testing.assert_array_equal(cost_only.xs, full.xs)
@@ -278,8 +274,9 @@ def test_phase_two_from_trajectory_covers_edge_cases(family):
     full = _phase_two_case(family, 7, [0, 0], 1.0, 0.3)
     assert full.states.shape[1] == 0
     model = lower_to_state_space(family)
-    zy, zu = regressor_matrices(model, Dataset(np.zeros(4), np.zeros(4), {}))
+    ds = Dataset(np.zeros(4), np.zeros(4), {})
+    plan = IntervalPlan.of(model, *regressor_matrices(model, ds), [0], [3])
     x0 = np.zeros((1, model.state_dim))
     with pytest.raises(ValueError):
-        run_intervals(model, model.default_theta, x0, zy, zu, [0], [3],
-                      with_sens=True, trajectory=np.zeros((3, 1, model.state_dim)))
+        run_intervals(model, model.default_theta, x0, plan, with_sens=True,
+                      trajectory=np.zeros((3, 1, model.state_dim)))

@@ -92,6 +92,30 @@ def test_lipschitz_counts_excluded_pairs():
     assert np.isfinite(est.value)
 
 
+def test_beta_counts_excluded_gradient_pairs_and_curvature_samples():
+    # a pair is excluded when either gradient is not finite, a curvature
+    # sample when its product is not; the finite ones give beta = 2
+    bad_grads, bad_products = [], []
+
+    def grad(x):
+        g = np.array([np.nan, 1.0]) if x[0] > 0.5 else 2.0 * x
+        bad_grads.append(not np.all(np.isfinite(g)))
+        return g
+
+    def hess_vec(p, d):
+        hv = np.array([np.inf, 0.0]) if p[0] < -0.5 else 2.0 * d
+        bad_products.append(not np.all(np.isfinite(hv)))
+        return hv
+
+    est = estimate_beta(grad, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+                        pair_samples=100, seed=0, hess_vec=hess_vec)
+    bad_pairs = np.array(bad_grads).reshape(-1, 2).any(axis=1)
+    assert bad_pairs.any() and any(bad_products)
+    assert est.n_pairs == int((~bad_pairs).sum())
+    assert est.n_excluded == int(bad_pairs.sum()) + sum(bad_products)
+    assert est.value == pytest.approx(2.0, rel=1e-9)
+
+
 def test_beta_estimate_on_quadratic():
     # grad of 1/2 x'Hx is Hx, gradient Lipschitz constant is ||H||
     h_mat = np.array([[2.0, 0.5], [0.5, 1.0]])
