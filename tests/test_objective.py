@@ -341,6 +341,41 @@ def test_gradient_at_any_cached_point_steps_no_states(form):
         assert bool(calls) == (j < 2), j
 
 
+@pytest.mark.parametrize("form", PHASE_TWO_FORMS.values(), ids=PHASE_TWO_FORMS)
+def test_gradient_at_an_older_point_reruns_phase_one(form, rng):
+    # 8 newer costs push phi_a out of the cache with its phase-1 states: a
+    # gradient there reruns phase 1, keeps the bits of a fresh problem and
+    # evicts the oldest of the newer points, not the newest
+    prob, fresh, phi_a, calls = _counted_pendulum_problem(form)
+    newer = [phi_a + 1e-3 * i for i in range(1, 9)]
+    prob.cost(phi_a)
+    for point in newer:
+        prob.cost(point)
+    del calls[:]
+    prob.gradient(phi_a)
+    assert calls
+    _assert_same_derivatives(prob, fresh, phi_a, rng)
+    del calls[:]
+    prob.gradient(newer[-1])
+    assert not calls
+    prob.gradient(newer[0])
+    assert calls
+
+
+def test_only_the_latest_cost_keeps_its_states():
+    # of costs at 10 points, the latest 8 keep their phase-1 states in the
+    # cache; a gradient at one of them replaces its states by sensitivities
+    prob, _, phi, _ = _counted_pendulum_problem(PHASE_TWO_FORMS["single-shooting"])
+    points = [phi + 1e-3 * i for i in range(10)]
+    for point in points:
+        prob.cost(point)
+    assert list(prob._cache) == [point.tobytes() for point in points[2:]]
+    assert all(ev.xs is not None for ev in prob._cache.values())
+    prob.gradient(points[-1])
+    assert prob._cache[points[-1].tobytes()].xs is None
+    assert prob._cache[points[-1].tobytes()].output_sens is not None
+
+
 def test_upgrading_an_entry_evicts_nothing():
     # costs at 8 points fill the cache; gradients at two of them upgrade
     # their entries in place and must not evict the oldest
