@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .models import (LogisticMap, Pendulum, farina_polynomial, linear_arx,
-                     linear_oe_2nd, lower_to_state_space)
+from .models import farina_polynomial, linear_oe_2nd, lower_to_state_space
 from .objective import (EstimationProblem, MsaPem, MultipleShooting,
                         ShootingPlan, SingleShooting, as_nlp)
 from . import solver

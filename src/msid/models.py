@@ -420,18 +420,13 @@ def _lower_polynomial(fam: Polynomial) -> StateSpaceModel:
     )
 
 
-def neural_net_theta_size(n_y: int, n_u: int, hidden: int) -> int:
-    n_in = n_y + n_u + 1
-    return hidden * n_in + hidden + hidden + 1
-
-
 def _lower_neural_net(fam: NeuralNetOE) -> StateSpaceModel:
     if fam.n_y < 1 or fam.n_u < 0 or fam.hidden < 1:
         raise ModelStructureError("neural net needs n_y >= 1, n_u >= 0, hidden >= 1")
     p = fam.n_y
     h = fam.hidden
     n_in = p + fam.n_u + 1
-    ntheta = neural_net_theta_size(fam.n_y, fam.n_u, fam.hidden)
+    ntheta = h * n_in + h + h + 1
     # theta = (W1 (h, n_in) row-major, b1 (h,), w2 (h,), b2)
     i_b1, i_w2 = h * n_in, h * n_in + h
 

@@ -20,7 +20,6 @@ propagates the state sensitivities alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -118,11 +117,17 @@ class EstimationProblem:
 
     A decision vector phi is theta followed by the free seeds, one state
     per interval (multiple shooting), one in all (single shooting with
-    ``optimize_x0``) or none; ``split`` returns the two parts.  What the
-    problem builds from data is built once, in ``__init__``: the interval
-    plan, the seeds when they are not decided, the measured outputs the
-    residuals compare with, and the number of leading residuals discarded
-    (``n_transient`` for single shooting from a fixed x0, else none).
+    ``optimize_x0``) or none; ``split`` returns the two parts.  The
+    formulation is read once, in ``__init__``, and turned into what every
+    operation needs: the interval plan (single shooting is one interval
+    of length N, multi-step-ahead one K-step window per sample), the
+    number of free seeds, n_constraints = max(n_seeds - 1, 0) N_x, the
+    seeds built from measured data at every interval start (rolled out
+    when no seed is decided, else the default point's seeds), the
+    measured outputs the residuals compare with, and the number of
+    leading residuals discarded (``n_transient`` for single shooting from
+    a fixed x0, else none).  Past ``__init__`` only multi-step-ahead,
+    whose windows predict at their last step alone, takes its own path.
 
     Evaluations are cached by the point's bytes in 8 entries, the oldest
     evicted for a new point, so cost, gradient, constraints and their
@@ -145,32 +150,33 @@ class EstimationProblem:
         self._cache: dict[bytes, _FullEval] = {}
         # ((phi bytes, lam bytes), J(phi)' lam, sqrt(eps) (1 + ||phi||))
         self._jt_lam: tuple[tuple[bytes, bytes], np.ndarray, float] | None = None
-        if isinstance(formulation, MultipleShooting):
-            if formulation.plan.boundaries[-1] != dataset.n:
+        f, y, n = formulation, dataset.y, dataset.n
+        self._msa = isinstance(f, MsaPem)
+        fixed_x0 = isinstance(f, SingleShooting) and not f.optimize_x0
+        if self._msa:
+            ends = np.arange(1, n + 1)
+            starts = np.maximum(0, ends - f.horizon)
+            lengths, self.n_seeds = ends - starts, 0
+        elif isinstance(f, MultipleShooting):
+            if f.plan.boundaries[-1] != n:
                 raise ValueError("shooting plan must cover the dataset exactly")
-        self._plan, self._seeds, self._targets = self._build_plan()
-        fixed_x0 = isinstance(formulation, SingleShooting) and not formulation.optimize_x0
+            starts, lengths, self.n_seeds = f.plan.starts, f.plan.lengths, f.plan.m
+        else:
+            starts, lengths, self.n_seeds = np.array([0]), np.array([n]), int(not fixed_x0)
+        self.n_decision = model.theta_dim + self.n_seeds * model.state_dim
+        self.n_constraints = max(self.n_seeds - 1, 0) * model.state_dim
         self._discard = model.n_transient if fixed_x0 else 0
+        self._plan = IntervalPlan.of(model, self._zy, self._zu, starts, lengths)
+        if self._msa:
+            self._targets = y[:, None]
+            self._seeds = self.heuristic_seeds_msa(starts)
+        else:
+            # shooting residual at global time starts[i] + t
+            kk = starts[:, None] + np.arange(1, int(lengths.max()) + 1)[None, :]
+            self._targets = y[np.clip(kk - 1, 0, len(y) - 1)][:, :, None]
+            self._seeds = self.heuristic_seeds()
 
     # -- layout ------------------------------------------------------------
-
-    @cached_property
-    def n_seeds(self) -> int:
-        f = self.formulation
-        if isinstance(f, MultipleShooting):
-            return f.plan.m
-        if isinstance(f, SingleShooting) and f.optimize_x0:
-            return 1
-        return 0
-
-    @cached_property
-    def n_decision(self) -> int:
-        return self.model.theta_dim + self.n_seeds * self.model.state_dim
-
-    @cached_property
-    def n_constraints(self) -> int:
-        f = self.formulation
-        return (f.plan.m - 1) * self.model.state_dim if isinstance(f, MultipleShooting) else 0
 
     def split(self, phi) -> tuple[np.ndarray, np.ndarray]:
         """(theta, x0s) of a decision vector, x0s being (n_seeds, N_x)."""
@@ -183,43 +189,22 @@ class EstimationProblem:
     def heuristic_seeds(self) -> np.ndarray:
         """Per-interval initial states built from measured data."""
         y, u = self.dataset.y, self.dataset.u
-        f = self.formulation
-        starts = f.plan.starts if isinstance(f, MultipleShooting) else np.array([0])
-        return np.stack([self.model.init_state(y, u, int(m)) for m in starts]) \
-            if self.model.state_dim else np.zeros((len(starts), 0))
-
-    def default_point(self, theta=None) -> np.ndarray:
-        th = self.model.default_theta if theta is None else np.asarray(theta, float)
-        if self.n_seeds == 0:
-            return th.copy()
-        return np.concatenate([th, self.heuristic_seeds()[: self.n_seeds].ravel()])
-
-    # -- shared evaluation -------------------------------------------------
-
-    def _build_plan(self):
-        """(interval plan, data-built seeds or None when the seeds are
-        decided, measured outputs the residuals compare with)."""
-        f, y, n = self.formulation, self.dataset.y, self.dataset.n
-        if isinstance(f, MsaPem):
-            k = np.arange(1, n + 1)
-            starts = np.maximum(0, k - f.horizon)
-            return (IntervalPlan.of(self.model, self._zy, self._zu, starts, k - starts),
-                    self.heuristic_seeds_msa(starts), y[:, None])
-        starts, lengths = ((f.plan.starts, f.plan.lengths) if isinstance(f, MultipleShooting)
-                           else (np.array([0]), np.array([n])))
-        # shooting residual at global time starts[i] + t
-        kk = starts[:, None] + np.arange(1, int(lengths.max()) + 1)[None, :]
-        return (IntervalPlan.of(self.model, self._zy, self._zu, starts, lengths),
-                self.heuristic_seeds() if self.n_seeds == 0 else None,
-                y[np.clip(kk - 1, 0, len(y) - 1)][:, :, None])
+        return np.stack([self.model.init_state(y, u, int(m)) for m in self._plan.starts])
 
     def heuristic_seeds_msa(self, starts) -> np.ndarray:
+        """Data-built seeds at ``starts``, each distinct start built once."""
         y, u = self.dataset.y, self.dataset.u
-        if self.model.state_dim == 0:
-            return np.zeros((len(starts), 0))
         uniq, inv = np.unique(np.asarray(starts, int), return_inverse=True)
         table = np.stack([self.model.init_state(y, u, int(m)) for m in uniq])
         return table[inv]
+
+    def default_point(self, theta=None) -> np.ndarray:
+        """theta (the model's default when None) followed by the free
+        seeds built from measured data."""
+        th = self.model.default_theta if theta is None else np.asarray(theta, float)
+        return np.concatenate([th, self._seeds[: self.n_seeds].ravel()])
+
+    # -- shared evaluation -------------------------------------------------
 
     def _evaluate(self, phi, with_sens: bool = False, curvature: bool = False) -> _FullEval:
         phi = np.asarray(phi, dtype=float)
@@ -231,7 +216,7 @@ class EstimationProblem:
         with_sens = with_sens or curvature
         outputs = not (curvature and hit is None)
         theta, x0s = self.split(phi)
-        roll = run_intervals(self.model, theta, x0s if self._seeds is None else self._seeds,
+        roll = run_intervals(self.model, theta, x0s if self.n_seeds else self._seeds,
                              self._plan, with_sens=with_sens,
                              trajectory=None if hit is None else hit.xs, outputs=outputs)
         ev = (self._assemble(roll) if outputs
@@ -245,7 +230,7 @@ class EstimationProblem:
 
     def _assemble(self, roll) -> _FullEval:
         lengths = self._plan.lengths
-        if isinstance(self.formulation, MsaPem):
+        if self._msa:
             # only the last step of each window predicts
             idx = lengths - 1
             b = len(lengths)
@@ -285,18 +270,20 @@ class EstimationProblem:
 
     def gradient(self, phi) -> np.ndarray:
         ev = self._evaluate(phi, with_sens=True)
-        nth = self.model.theta_dim
-        g = np.zeros(self.n_decision)
+        return self._jt(ev, ev.residuals)
+
+    def _jt(self, ev: _FullEval, w) -> np.ndarray:
+        """(2/n_res) J' w for w shaped like the residuals (B, T, N_out); all
+        NaN when the rollout diverged or kept no residual."""
         if ev.diverged or ev.n_res == 0:
             return np.full(self.n_decision, np.nan)
+        nth = self.model.theta_dim
         scale = 2.0 / ev.n_res
-        jt = ev.output_sens[..., :nth]                          # (B, T, N_out, nth)
-        g[:nth] = scale * np.einsum("btoj,bto->j", jt, ev.residuals)
+        out = np.zeros(self.n_decision)
+        out[:nth] = scale * np.einsum("btoj,bto->j", ev.output_sens[..., :nth], w)
         if self.n_seeds:
-            jx = ev.output_sens[..., nth:]
-            gx = scale * np.einsum("btoj,bto->bj", jx, ev.residuals)
-            g[nth:] = gx[: self.n_seeds].ravel()
-        return g
+            out[nth:] = scale * np.einsum("btoj,bto->bj", ev.output_sens[..., nth:], w).ravel()
+        return out
 
     def batch_costs(self, thetas, seeds) -> np.ndarray:
         """Costs at thetas (G, n_theta) with the seed part of the decision
@@ -304,13 +291,12 @@ class EstimationProblem:
         seeds]))``.  One pass over the record, one batch row per theta,
         resetting at every interval start: work proportional to N whatever
         the partition, and O(G N_x) memory."""
-        f = self.formulation
-        if isinstance(f, MsaPem):
+        if self._msa:
             raise TypeError("batch_costs needs a shooting formulation")
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         _, x0s = self.split(np.concatenate([thetas[0], np.ravel(seeds)]))
         starts = self._plan.starts
-        x0s = x0s if self._seeds is None else self._seeds
+        x0s = x0s if self.n_seeds else self._seeds
         model, y, n, discard = self.model, self.dataset.y, self.dataset.n, self._discard
         g = thetas.shape[0]
         th = np.ascontiguousarray(thetas.T)
@@ -346,19 +332,11 @@ class EstimationProblem:
         ev = self._evaluate(phi, with_sens=True)
         p = np.asarray(p, dtype=float)
         nth = self.model.theta_dim
-        out = np.zeros(self.n_decision)
-        if ev.diverged or ev.n_res == 0:
-            return np.full(self.n_decision, np.nan)
-        scale = 2.0 / ev.n_res
-        jt = ev.output_sens[..., :nth]
-        w = np.einsum("btoj,j->bto", jt, p[:nth])
+        w = np.einsum("btoj,j->bto", ev.output_sens[..., :nth], p[:nth])
         if self.n_seeds:
-            jx = ev.output_sens[..., nth:]
             px = p[nth:].reshape(self.n_seeds, -1)
-            w = w + np.einsum("btoj,bj->bto", jx, px)
-            out[nth:] = scale * np.einsum("btoj,bto->bj", jx, w).ravel()
-        out[:nth] = scale * np.einsum("btoj,bto->j", jt, w)
-        return out
+            w = w + np.einsum("btoj,bj->bto", ev.output_sens[..., nth:], px)
+        return self._jt(ev, w)
 
     def constraints(self, phi) -> np.ndarray:
         """Cohesion residuals x^{i-1}[m_i] - x_0^i, stacked over i = 2..M."""
@@ -378,8 +356,7 @@ class EstimationProblem:
         """
         self._require(MultipleShooting)
         ev = self._evaluate(phi, with_sens=True)
-        return ShootingJacobian(ev.end_state_sens[: self.formulation.plan.m - 1],
-                                self.model.theta_dim)
+        return ShootingJacobian(ev.end_state_sens[: self.n_seeds - 1], self.model.theta_dim)
 
     def constraint_jac_t_vec(self, phi, lam) -> np.ndarray:
         """J_c(phi)^T lam."""
@@ -390,14 +367,17 @@ class EstimationProblem:
         approximation of the constraint curvature along p.
 
         The constraint term differentiates J_c(phi)^T lam once along p,
-        costing a single extra Jacobian evaluation.
+        costing a single extra Jacobian evaluation.  Without constraints
+        (m = 0, lam empty) or with lam = 0 it is the Gauss-Newton product
+        alone.
         """
-        self._require(MultipleShooting)
         p = np.asarray(p, dtype=float)
         out = self.gn_hessian_vec(phi, p)
         lam = np.asarray(lam, dtype=float)
+        if not np.any(lam):
+            return out
         pn = np.linalg.norm(p)
-        if pn == 0 or not lam.size or not np.any(lam):
+        if pn == 0:
             return out
         phi = np.asarray(phi, dtype=float)
         key = (phi.tobytes(), lam.tobytes())
@@ -407,7 +387,7 @@ class EstimationProblem:
         _, jt0, scale = self._jt_lam
         h = scale / pn
         ev = self._evaluate(phi + h * p, curvature=True)
-        jt1 = ShootingJacobian(ev.end_state_sens[: self.formulation.plan.m - 1],
+        jt1 = ShootingJacobian(ev.end_state_sens[: self.n_seeds - 1],
                                self.model.theta_dim).T @ lam
         return out + (jt1 - jt0) / h
 
@@ -417,26 +397,15 @@ class EstimationProblem:
 
 
 def as_nlp(problem: EstimationProblem):
-    """Adapt an estimation problem to the solver's callback record."""
-    if isinstance(problem.formulation, MultipleShooting):
-        return NlpProblem(
-            n=problem.n_decision,
-            m=problem.n_constraints,
-            f=problem.cost,
-            grad=problem.gradient,
-            hess_vec=problem.lagrangian_hessian_vec,
-            c=problem.constraints,
-            jac=lambda phi: problem.constraint_jacobian(phi),
-        )
-    return NlpProblem(
-        n=problem.n_decision,
-        m=0,
-        f=problem.cost,
-        grad=problem.gradient,
-        hess_vec=lambda phi, lam, p: problem.gn_hessian_vec(phi, p),
-        c=None,
-        jac=None,
-    )
+    """Adapt an estimation problem to the solver's callback record.
+
+    Every formulation gets the same record; with no cohesion constraints
+    (m = 0) the solver never calls ``c`` or ``jac``, and the Hessian
+    product is the Gauss-Newton one.
+    """
+    return NlpProblem(problem.n_decision, problem.n_constraints, problem.cost,
+                      problem.gradient, problem.lagrangian_hessian_vec,
+                      problem.constraints, problem.constraint_jacobian)
 
 
 def incremental_k_schedule(model: StateSpaceModel, dataset: Dataset, theta_init,

@@ -62,12 +62,8 @@ class SmoothnessReport:
     regime_beta: RegimeFit | None = None
     excluded: dict = field(default_factory=dict)
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(asdict(self), indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SmoothnessReport":

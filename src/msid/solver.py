@@ -354,6 +354,16 @@ def lagrange_multipliers(grad: np.ndarray, fac) -> np.ndarray:
     return fac.multipliers(grad)
 
 
+def _stationarity(problem: NlpProblem, x: np.ndarray, g: np.ndarray):
+    """(J, its factorization, multipliers, KKT residual) at x, whose
+    objective gradient is g."""
+    jac = problem.jacobian(x)
+    fac = factorize(jac)
+    lam = lagrange_multipliers(g, fac)
+    kkt = float(np.max(np.abs(g + jac.T @ lam), initial=0.0))
+    return jac, fac, lam, kkt
+
+
 def vertical_step(fac, c: np.ndarray, delta: float):
     """Dogleg step toward feasibility: min ||Jv + c|| s.t. ||v|| <= 0.8 delta.
 
@@ -390,7 +400,8 @@ def horizontal_step(grad: np.ndarray, hess_op: Callable, fac,
     """Projected CG for the trust-region QP, started at the vertical step.
 
     Maintains J p = J v throughout; truncates at the boundary or on
-    negative curvature.  Returns (p, Hp).
+    negative curvature, and stops with the current p when a curvature
+    d'Hd overflows to +inf.  Returns (p, Hp).
     """
     n = v.size
     p = v.copy()
@@ -406,7 +417,11 @@ def horizontal_step(grad: np.ndarray, hess_op: Callable, fac,
         if _norm(z) <= tol * max(1.0, z0):
             break
         hd = np.asarray(hess_op(d), float)
-        dhd = float(d @ hd)
+        with np.errstate(over="ignore"):
+            dhd = float(d @ hd)
+        if dhd == np.inf:
+            # the curvature overflowed: no step along d can be sized
+            break
         if dhd <= 1e-14 * float(d @ d):
             alpha = _to_boundary(p, d, delta)
             p = p + alpha * d
@@ -457,7 +472,14 @@ def merit_and_ratio(v0, c0, v1, c1, predicted, mu):
 
 
 def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> SolverResult:
-    """Run the trust-region SQP loop from x0."""
+    """Run the trust-region SQP loop from x0.
+
+    Each iteration first tests stationarity at its point: the constraint
+    Jacobian, its one factorization, the least-squares multipliers and the
+    KKT residual.  The result's multipliers and KKT residual are that test
+    at the final point, run once more only when the point moved after the
+    last test (or when none ran).
+    """
     opts = options or SolverOptions()
     t_start = time.perf_counter()
     x = np.asarray(x0, dtype=float).copy()
@@ -469,8 +491,8 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
     n_eval = 1
     c = problem.constraint(x)
     status = "max-iter"
+    tested = False      # lam and kkt belong to x
     stall = 0
-    g = np.zeros(problem.n)
     max_cg = problem.n - problem.m + _CG_EXTRA
 
     for it in range(opts.max_iter):
@@ -478,11 +500,8 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         if not (np.isfinite(v_val) and np.all(np.isfinite(g))):
             status = "non-finite"
             break
-        jac = problem.jacobian(x)
-        fac = factorize(jac)
-        lam = lagrange_multipliers(g, fac)
-        grad_l = g + jac.T @ lam
-        kkt = float(np.max(np.abs(grad_l), initial=0.0))
+        jac, fac, lam, kkt = _stationarity(problem, x, g)
+        tested = True
         cviol = float(np.max(np.abs(c), initial=0.0))
         if not (np.isfinite(kkt) and np.all(np.isfinite(lam))):
             status = "non-finite"
@@ -547,6 +566,7 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         if rho > opts.accept_ratio:
             improved = merit(v_val, c, penalty) - merit(v_trial, c_trial, penalty)
             x = x_trial
+            tested = False
             v_val = v_trial
             c = c_trial
             cviol = float(np.max(np.abs(c), initial=0.0))
@@ -575,12 +595,8 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
 
     if status == "non-finite":
         kkt = np.nan
-    elif status != "converged":
-        jac = problem.jacobian(x)
-        g = np.asarray(problem.grad(x), float)
-        lam = lagrange_multipliers(g, factorize(jac))
-        grad_l = g + jac.T @ lam
-        kkt = float(np.max(np.abs(grad_l), initial=0.0))
+    elif not tested:
+        _, _, lam, kkt = _stationarity(problem, x, np.asarray(problem.grad(x), float))
     cviol = float(np.max(np.abs(c), initial=0.0))
 
     return SolverResult(

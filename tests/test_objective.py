@@ -13,7 +13,7 @@ from msid.models import LogisticMap, Pendulum, linear_arx, linear_oe_2nd, \
 
 import msid.objective
 from msid.solver import (JacobianSvd, KktLayout, ShootingJacobian, ShootingKkt,
-                         lagrange_multipliers)
+                         SolverOptions, lagrange_multipliers, solve)
 
 import oracles
 from test_models import ALL_FAMILIES
@@ -550,14 +550,73 @@ def test_cost_sequential_matches_batched():
     assert got[0] == pytest.approx(v_batched, rel=1e-12)
 
 
-def test_as_nlp_dimensions():
-    plan = ShootingPlan.from_max_len(20, 5)
-    prob = _logistic_problem(MultipleShooting(plan), n=20)
-    nlp = as_nlp(prob)
-    assert nlp.n == prob.n_decision
-    assert nlp.m == prob.n_constraints
-    prob_ss = _logistic_problem(SingleShooting(optimize_x0=True), n=20)
-    assert as_nlp(prob_ss).m == 0
+def test_as_nlp_dimensions(rng):
+    # one record for every formulation: the problem's own operations, with
+    # m = 0 and the Gauss-Newton product when there are no constraints
+    for form, m in ((MultipleShooting(ShootingPlan.from_max_len(20, 5)), 3),
+                    (SingleShooting(optimize_x0=True), 0),
+                    (SingleShooting(optimize_x0=False), 0),
+                    (MsaPem(3), 0)):
+        prob = _logistic_problem(form, n=20)
+        nlp = as_nlp(prob)
+        assert (nlp.n, nlp.m) == (prob.n_decision, prob.n_constraints) == (
+            1 + prob.n_seeds, m)
+        assert (nlp.f, nlp.grad, nlp.hess_vec, nlp.c, nlp.jac) == (
+            prob.cost, prob.gradient, prob.lagrangian_hessian_vec,
+            prob.constraints, prob.constraint_jacobian)
+        phi = prob.default_point(np.array([3.6]))
+        p = rng.normal(size=phi.size)
+        gn = prob.gn_hessian_vec(phi, p)
+        assert np.array_equal(nlp.hess_vec(phi, np.zeros(m), p), gn)
+        if not m:
+            with pytest.raises(TypeError):
+                nlp.c(phi)
+
+
+def test_single_shooting_is_one_interval_shooting():
+    # SingleShooting(optimize_x0=True) and multiple shooting over one
+    # interval of length N are the same problem, bit for bit
+    ds = gen_pendulum("b", seed=0, n=64)
+    model = lower_to_state_space(Pendulum())
+    single = EstimationProblem(model, ds, SingleShooting(optimize_x0=True))
+    one = EstimationProblem(model, ds, MultipleShooting(ShootingPlan((0, 64), 64)))
+    phi = single.default_point(np.array([31.0, 2.2]))
+    assert np.array_equal(phi, one.default_point(np.array([31.0, 2.2])))
+    p = np.random.default_rng(3).normal(size=phi.size)
+    assert single.n_constraints == one.n_constraints == 0
+    assert single.cost(phi) == one.cost(phi)
+    assert np.array_equal(single.gradient(phi), one.gradient(phi))
+    assert np.array_equal(single.gn_hessian_vec(phi, p), one.gn_hessian_vec(phi, p))
+    assert np.array_equal(as_nlp(single).hess_vec(phi, np.zeros(0), p),
+                          as_nlp(one).hess_vec(phi, np.zeros(0), p))
+    opts = SolverOptions(max_iter=20, trace=True)
+    res = [solve(as_nlp(q), phi, opts) for q in (single, one)]
+    for field in ("point", "multipliers", "status", "cost", "kkt_residual",
+                  "constraint_violation", "iterations", "n_eval", "trace"):
+        assert np.array_equal(getattr(res[0], field), getattr(res[1], field)), field
+
+
+@pytest.mark.parametrize("form", [
+    SingleShooting(optimize_x0=True),
+    MultipleShooting(ShootingPlan.from_max_len(64, 16)),
+], ids=["single-shooting", "ms16"])
+def test_default_point_builds_no_seeds(form):
+    # the seeds are built from data once, in __init__, one per interval
+    # start; default_point only reads them
+    model = lower_to_state_space(Pendulum())
+    calls = []
+
+    def init_state(*args):
+        calls.append(args[2])
+        return model.init_state(*args)
+    counted = dataclasses.replace(model, init_state=init_state)
+    prob = EstimationProblem(counted, gen_pendulum("b", seed=0, n=64), form)
+    assert calls == [0, 16, 32, 48][: prob.n_seeds]
+    del calls[:]
+    first = prob.default_point(np.array([31.0, 2.2]))
+    second = prob.default_point()
+    assert not calls
+    assert np.array_equal(first[2:], second[2:])
 
 
 def test_default_point_seeds_come_from_measured_data():

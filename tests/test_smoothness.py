@@ -229,7 +229,7 @@ def test_report_shows_exponential_blowup_for_chaotic_map():
 def test_report_json_round_trip(tmp_path):
     rep = _logistic_report(lengths=(10, 15, 20), pair_samples=30)
     path = tmp_path / "report.json"
-    rep.to_json(path)
+    path.write_text(rep.to_json())
     back = SmoothnessReport.from_json(path.read_text())
     assert back.lengths == rep.lengths
     assert back.lipschitz_estimates == rep.lipschitz_estimates

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -138,6 +139,21 @@ def test_horizontal_step_unconstrained_matches_newton(rng):
     p, _ = horizontal_step(grad, lambda q: h_mat @ q, JacobianSvd.of(jac),
                            np.zeros(4), 1e6, 100)
     np.testing.assert_allclose(p, -np.linalg.solve(h_mat, grad), rtol=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_horizontal_step_stops_on_overflowed_curvature():
+    # d'Hd = 1e300 * 1e150 overflows to +inf: no step along d can be sized,
+    # so CG stops at once with p = v instead of spending its whole budget
+    calls = []
+
+    def hess_op(q):
+        calls.append(q)
+        return 1e150 * q
+    p, hp = horizontal_step(np.array([1e150, 0.0]), hess_op,
+                            JacobianSvd.of(np.zeros((0, 2))), np.zeros(2), 1.0, 12)
+    assert len(calls) == 1
+    assert np.array_equal(p, np.zeros(2)) and np.array_equal(hp, np.zeros(2))
 
 
 def test_interior_qp_step_matches_kkt_solve(rng):
@@ -396,14 +412,27 @@ def test_non_finite_multipliers_stop_at_once(name, start):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_step_stops_at_once():
-    # the least-squares multiplier is a finite 1.59e308, but the case's
-    # Hessian product (2 + 2 lam) p overflows and CG returns a NaN step;
-    # the trust radius, set from the step norm, would be NaN from then on
+    # the least-squares multiplier is a finite 1.33e308, but 2 + 2 lam in
+    # the case's Hessian product (2 + 2 lam) p overflows to inf, inf times
+    # the zero first component of p is NaN, and CG returns a NaN step; the
+    # trust radius, set from the step norm, would be NaN from then on
     case = next(c for c in KKT_CASES if c.id == "target-on-sphere")
-    res = _traced_solve(case, (2.2e-308, 2.2e-308))
+    res = _traced_solve(case, (0.0, 3e-308))
     assert res.status == "non-finite"
     assert res.iterations == 0 and res.n_eval == 1
     assert np.all(np.isfinite(res.multipliers))
+    np.testing.assert_array_equal(res.point, [0.0, 3e-308])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowed_curvature_leaves_the_step_finite():
+    # from (2.2e-308, 2.2e-308) every d'Hd overflows to +inf; CG stops
+    # with a finite step, so the radius shrinks to the floor and the solve
+    # ends unmoved and unconverged, with a finite KKT residual
+    case = next(c for c in KKT_CASES if c.id == "target-on-sphere")
+    res = _traced_solve(case, (2.2e-308, 2.2e-308))
+    assert res.status == "step-too-small"
+    assert res.n_eval == 1 and np.isfinite(res.kkt_residual)
     np.testing.assert_array_equal(res.point, [2.2e-308, 2.2e-308])
 
 
@@ -422,6 +451,24 @@ def test_max_iter_status():
     assert res.status == "max-iter"
     assert not res.converged
     assert res.iterations == 2
+
+
+def test_stationarity_is_tested_once_at_an_unmoved_point():
+    # started at the minimizer with tol = 0 the solve cannot converge and
+    # ends step-too-small where it started; the result's multipliers and
+    # KKT residual are the loop's test there, not a second one
+    base = _quadratic_nlp(np.eye(2), [0.0, 0.0], [[1.0, 1.0]], [2.0])
+    calls = []
+
+    def jac(x):
+        calls.append(x.copy())
+        return base.jac(x)
+    nlp = dataclasses.replace(base, jac=jac)
+    res = solve(nlp, np.array([1.0, 1.0]), SolverOptions(tol=0.0))
+    assert res.status == "step-too-small"
+    assert np.array_equal(res.point, [1.0, 1.0])
+    assert len(calls) == 1
+    np.testing.assert_allclose(res.multipliers, [-1.0], rtol=1e-12)
 
 
 def test_result_reports_cost_at_final_point():
