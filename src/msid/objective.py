@@ -194,6 +194,8 @@ class EstimationProblem:
     def heuristic_seeds_msa(self, starts) -> np.ndarray:
         """Data-built seeds at ``starts``, each distinct start built once."""
         y, u = self.dataset.y, self.dataset.u
+        if self.model.state_dim == 0:
+            return np.zeros((len(starts), 0))
         uniq, inv = np.unique(np.asarray(starts, int), return_inverse=True)
         table = np.stack([self.model.init_state(y, u, int(m)) for m in uniq])
         return table[inv]

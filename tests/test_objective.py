@@ -619,6 +619,22 @@ def test_default_point_builds_no_seeds(form):
     assert np.array_equal(first[2:], second[2:])
 
 
+def test_stateless_msa_builds_its_seeds_without_init_state():
+    # an incremental schedule builds one multi-step-ahead problem per
+    # horizon; a stateless model's seeds need no init_state call at all
+    model = lower_to_state_space(linear_arx(2, 1, (0.5, -0.2, 2.0)))
+    calls = []
+
+    def init_state(*args):
+        calls.append(args[2])
+        return model.init_state(*args)
+    counted = dataclasses.replace(model, init_state=init_state)
+    prob = EstimationProblem(counted, gen_linear2nd(n=20), MsaPem(4))
+    assert not calls
+    assert prob._seeds.shape == (20, 0)
+    assert np.isfinite(prob.cost(prob.default_point()))
+
+
 def test_default_point_seeds_come_from_measured_data():
     plan = ShootingPlan.from_max_len(20, 5)
     prob = _logistic_problem(MultipleShooting(plan), n=20)
