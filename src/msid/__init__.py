@@ -17,8 +17,8 @@ from .solver import (JacobianSvd, NlpProblem, ShootingJacobian, ShootingKkt,
                      SolverOptions, SolverResult, solve, lagrange_multipliers)
 from .smoothness import (PairEstimate, RegimeFit, SmoothnessReport,
                          estimate_beta, estimate_contraction,
-                         estimate_lipschitz, interval_bound_check,
-                         regime_fit, s_factor, smoothness_report)
+                         estimate_lipschitz, regime_fit, s_factor,
+                         smoothness_report)
 from .experiments import (ExperimentResult, MonteCarloConfig, arx_fit,
                           estimate, gen_farina, gen_linear2nd, gen_logistic,
                           gen_pendulum, grid_scan, linear_fit_r2,
@@ -36,8 +36,8 @@ __all__ = [
     "JacobianSvd", "NlpProblem", "ShootingJacobian", "ShootingKkt",
     "SolverOptions", "SolverResult", "solve", "lagrange_multipliers",
     "PairEstimate", "RegimeFit", "SmoothnessReport", "estimate_beta",
-    "estimate_contraction", "estimate_lipschitz", "interval_bound_check",
-    "regime_fit", "s_factor", "smoothness_report",
+    "estimate_contraction", "estimate_lipschitz", "regime_fit", "s_factor",
+    "smoothness_report",
     "ExperimentResult", "MonteCarloConfig", "arx_fit", "estimate",
     "gen_farina", "gen_linear2nd", "gen_logistic", "gen_pendulum",
     "grid_scan", "linear_fit_r2", "monte_carlo_study", "multi_start_study",

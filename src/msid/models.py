@@ -57,8 +57,9 @@ class StateSpaceModel:
     *input* state; ``output_jacobians`` returns (C, F) = (dg/dx,
     dg/dtheta) at the state passed in.  The sensitivity recursion needs
     the h-Jacobians at x[k-1] and the g-Jacobians at x[k], hence the
-    split.  ``init_state(y, u, m)`` builds a heuristic state at boundary
-    time m from measured data (hold-first padded near the edges).
+    split.  ``init_state(y, u, m)`` builds heuristic states from measured
+    data at the boundary times in the int array m (B,), one row of the
+    (B, N_x) result per time (hold-first padded near the edges).
     """
 
     name: str
@@ -242,7 +243,7 @@ def _output_error(name, p, n_u, theta0, f, df) -> StateSpaceModel:
         return C, np.zeros((b, 1, nth))
 
     def init_state(y, u, m):
-        return np.array([y[max(m - 1 - j, 0)] for j in range(p)])
+        return y[np.maximum(m[:, None] - 1 - np.arange(p), 0)]
 
     return StateSpaceModel(
         name=name,
@@ -306,11 +307,12 @@ def _lower_pendulum(fam: Pendulum) -> StateSpaceModel:
 
     def init_state(y, u, m):
         n = len(y)
-        i = min(max(m - 1, 0), n - 1)
-        ip, im = min(i + 1, n - 1), max(i - 1, 0)
+        i = np.clip(m - 1, 0, n - 1)
+        ip, im = np.minimum(i + 1, n - 1), np.maximum(i - 1, 0)
         # angle from the measurement, velocity by central finite difference
-        vel = (y[ip] - y[im]) / ((ip - im) * d) if ip > im else 0.0
-        return np.array([y[i], vel])
+        # (zero at N = 1, where ip == im, without dividing by zero)
+        vel = np.where(ip > im, (y[ip] - y[im]) / (np.maximum(ip - im, 1) * d), 0.0)
+        return np.stack([y[i], vel], axis=1)
 
     return StateSpaceModel(
         name="pendulum",
@@ -407,7 +409,7 @@ def _lower_polynomial(fam: Polynomial) -> StateSpaceModel:
         return np.zeros((b, 1, 0)), vals[:, None, :]
 
     def init_state(y, u, m):
-        return np.zeros(0)
+        return np.zeros((len(m), 0))
 
     return StateSpaceModel(
         name="poly-arx",
@@ -518,7 +520,7 @@ def _lower_armax(fam: LinearARMAX) -> StateSpaceModel:
         return C, F
 
     def init_state(y, u, m):
-        return np.zeros(nc)
+        return np.zeros((len(m), nc))
 
     return StateSpaceModel(
         name="linear-armax",

@@ -169,12 +169,11 @@ class EstimationProblem:
         self._plan = IntervalPlan.of(model, self._zy, self._zu, starts, lengths)
         if self._msa:
             self._targets = y[:, None]
-            self._seeds = self.heuristic_seeds_msa(starts)
         else:
             # shooting residual at global time starts[i] + t
             kk = starts[:, None] + np.arange(1, int(lengths.max()) + 1)[None, :]
             self._targets = y[np.clip(kk - 1, 0, len(y) - 1)][:, :, None]
-            self._seeds = self.heuristic_seeds()
+        self._seeds = self.heuristic_seeds()
 
     # -- layout ------------------------------------------------------------
 
@@ -187,18 +186,13 @@ class EstimationProblem:
         return phi[:nth], phi[nth:].reshape(self.n_seeds, self.model.state_dim)
 
     def heuristic_seeds(self) -> np.ndarray:
-        """Per-interval initial states built from measured data."""
-        y, u = self.dataset.y, self.dataset.u
-        return np.stack([self.model.init_state(y, u, int(m)) for m in self._plan.starts])
+        """Initial states built from measured data at every interval start,
+        (B, N_x), in one ``init_state`` call."""
+        return self.model.init_state(self.dataset.y, self.dataset.u, self._plan.starts)
 
-    def heuristic_seeds_msa(self, starts) -> np.ndarray:
-        """Data-built seeds at ``starts``, each distinct start built once."""
-        y, u = self.dataset.y, self.dataset.u
-        if self.model.state_dim == 0:
-            return np.zeros((len(starts), 0))
-        uniq, inv = np.unique(np.asarray(starts, int), return_inverse=True)
-        table = np.stack([self.model.init_state(y, u, int(m)) for m in uniq])
-        return table[inv]
+    # the benchmark probe patches this name; it goes when the probe reads
+    # the package's own counters (ROADMAP item 5)
+    heuristic_seeds_msa = heuristic_seeds
 
     def default_point(self, theta=None) -> np.ndarray:
         """theta (the model's default when None) followed by the free

@@ -266,49 +266,3 @@ def smoothness_report(cost_builder, grad_builder, lengths, param_box,
     if all(v > 0 for v in betas):
         rep.regime_beta = regime_fit(lengths, betas, contraction, beta_order=True)
     return rep
-
-
-@dataclass
-class IntervalBoundReport:
-    max_lens: list
-    vm_estimates: list
-    interval_max_estimates: list
-    bound_holds: list
-
-
-def interval_bound_check(problem_builder, max_lens, param_box,
-                         pair_samples: int = 100, seed: int = 0,
-                         separations=DEFAULT_SEPARATIONS) -> IntervalBoundReport:
-    """Check that the full-cost constant never beats the worst interval.
-
-    ``problem_builder(max_len)`` returns a multiple-shooting problem; the
-    theta pairs are shared between the full cost and every per-interval
-    cost (seeds stay at the problem's data-based defaults), so the bound
-    L(V^M) <= max_i L(V_i) holds by construction and the check validates
-    the assembly rather than sampling luck.
-    """
-    rng = np.random.default_rng(seed)
-    max_lens = list(max_lens)
-    vm_est, iv_est, holds = [], [], []
-    for ml in max_lens:
-        problem = problem_builder(int(ml))
-        nth = problem.model.theta_dim
-        box = (np.broadcast_to(np.asarray(param_box[0], float), (nth,)),
-               np.broadcast_to(np.asarray(param_box[1], float), (nth,)))
-        seeds = problem.default_point()[nth:]
-        best_vm = 0.0
-        best_iv = 0.0
-        for a, b in _sample_pairs(box, pair_samples, separations, rng):
-            dist = np.linalg.norm(a - b)
-            if dist == 0:
-                continue
-            va, ia = problem.cost_multiple(np.concatenate([a, seeds]))
-            vb, ib = problem.cost_multiple(np.concatenate([b, seeds]))
-            if not (np.isfinite(va) and np.isfinite(vb)):
-                continue
-            best_vm = max(best_vm, abs(va - vb) / dist)
-            best_iv = max(best_iv, float(np.max(np.abs(ia - ib))) / dist)
-        vm_est.append(best_vm)
-        iv_est.append(best_iv)
-        holds.append(best_vm <= best_iv * (1.0 + 1e-9) + 1e-12)
-    return IntervalBoundReport(max_lens, vm_est, iv_est, holds)

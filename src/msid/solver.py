@@ -474,11 +474,13 @@ def merit_and_ratio(v0, c0, v1, c1, predicted, mu):
 def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> SolverResult:
     """Run the trust-region SQP loop from x0.
 
-    Each iteration first tests stationarity at its point: the constraint
+    Stationarity is tested once per point, at the first iteration and
+    after each accepted step: the objective gradient, the constraint
     Jacobian, its one factorization, the least-squares multipliers and the
-    KKT residual.  The result's multipliers and KKT residual are that test
-    at the final point, run once more only when the point moved after the
-    last test (or when none ran).
+    KKT residual.  A rejected trial or a radius shrink leaves the point,
+    and so its test, as it was.  The result's multipliers and KKT residual
+    are the test at the final point, run once more only when the last
+    step was accepted (or when none ran).
     """
     opts = options or SolverOptions()
     t_start = time.perf_counter()
@@ -491,24 +493,24 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
     n_eval = 1
     c = problem.constraint(x)
     status = "max-iter"
-    tested = False      # lam and kkt belong to x
+    g = None            # set, with jac, fac, lam and kkt, by x's stationarity test
     stall = 0
     max_cg = problem.n - problem.m + _CG_EXTRA
 
     for it in range(opts.max_iter):
-        g = np.asarray(problem.grad(x), float)
-        if not (np.isfinite(v_val) and np.all(np.isfinite(g))):
-            status = "non-finite"
-            break
-        jac, fac, lam, kkt = _stationarity(problem, x, g)
-        tested = True
-        cviol = float(np.max(np.abs(c), initial=0.0))
-        if not (np.isfinite(kkt) and np.all(np.isfinite(lam))):
-            status = "non-finite"
-            break
-        if kkt < opts.tol and cviol < opts.constraint_tol:
-            status = "converged"
-            break
+        if g is None:
+            g = np.asarray(problem.grad(x), float)
+            if not (np.isfinite(v_val) and np.all(np.isfinite(g))):
+                status = "non-finite"
+                break
+            jac, fac, lam, kkt = _stationarity(problem, x, g)
+            cviol = float(np.max(np.abs(c), initial=0.0))
+            if not (np.isfinite(kkt) and np.all(np.isfinite(lam))):
+                status = "non-finite"
+                break
+            if kkt < opts.tol and cviol < opts.constraint_tol:
+                status = "converged"
+                break
         if radius < _DELTA_FLOOR:
             status = "step-too-small"
             break
@@ -566,7 +568,7 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         if rho > opts.accept_ratio:
             improved = merit(v_val, c, penalty) - merit(v_trial, c_trial, penalty)
             x = x_trial
-            tested = False
+            g = None
             v_val = v_trial
             c = c_trial
             cviol = float(np.max(np.abs(c), initial=0.0))
@@ -595,7 +597,7 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
 
     if status == "non-finite":
         kkt = np.nan
-    elif not tested:
+    elif g is None:
         _, _, lam, kkt = _stationarity(problem, x, np.asarray(problem.grad(x), float))
     cviol = float(np.max(np.abs(c), initial=0.0))
 

@@ -132,3 +132,20 @@ def shooting_kkt_band(blocks, n_theta):
     put(seed[1:], lam, -1.0)                            # J'
     put(seed, seed, 1.0)
     return ab
+
+
+def shift_register_seed(y, m, p):
+    """Output-error seed at boundary time m: the last p measured outputs
+    y[m-1], ..., y[m-p], newest first, holding y[0] before the record."""
+    return np.array([y[max(m - 1 - j, 0)] for j in range(p)])
+
+
+def pendulum_seed(y, m, delta):
+    """Pendulum seed at boundary time m: the measured angle y[m-1] and its
+    central-difference velocity, one-sided at the record's edges and zero
+    for a one-sample record."""
+    n = len(y)
+    i = min(max(m - 1, 0), n - 1)
+    ip, im = min(i + 1, n - 1), max(i - 1, 0)
+    vel = (y[ip] - y[im]) / ((ip - im) * delta) if ip > im else 0.0
+    return np.array([y[i], vel])

@@ -119,6 +119,29 @@ def test_batched_theta_broadcast_matches_scalar_calls(rng):
                                               err_msg=model.name)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2, 64])
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: type(f).__name__)
+def test_init_state_matches_the_per_start_oracle(family, n, rng):
+    # one batched call has the bits of the per-start rule at every start,
+    # the record's edges and repeated starts included, and warns of nothing
+    # (no division by zero for the pendulum at N = 1)
+    model = lower_to_state_space(family)
+    y, u = rng.normal(size=n), rng.normal(size=n)
+    starts = np.array([0, 1, n - 1, n, 1, n, 0])
+    if model.name == "pendulum":
+        rule = lambda m: oracles.pendulum_seed(y, m, family.delta)
+    elif model.name in ("logistic", "poly-oe", "nn-oe"):
+        rule = lambda m: oracles.shift_register_seed(y, m, model.state_dim)
+    else:
+        rule = lambda m: np.zeros(model.state_dim)
+    seeds = model.init_state(y, u, starts)
+    expected = np.stack([rule(int(m)) for m in starts])
+    assert seeds.shape == (len(starts), model.state_dim)
+    assert seeds.dtype == expected.dtype
+    assert seeds.tobytes() == expected.tobytes()
+
+
 def test_regressor_matrices_layout():
     ds = Dataset(np.arange(1.0, 6.0), np.arange(10.0, 15.0), {})
     model = lower_to_state_space(linear_oe_2nd())

@@ -119,7 +119,7 @@ def test_msa_cost_matches_direct_window_computation():
     sq = []
     for k in range(1, 13):
         s = max(0, k - k_hor)
-        x = model.init_state(ds.y, ds.u, s)
+        x = model.init_state(ds.y, ds.u, np.array([s]))[0]
         for t in range(s + 1, k + 1):
             zy = np.array([[ds.y[t - 2] if t >= 2 else ds.y[0]]])
             zu = np.zeros((1, 1))
@@ -465,7 +465,8 @@ def test_fixed_seeds_are_built_once():
         prob.cost(phi + i)
         prob.gradient(phi + i)
     prob.batch_costs(phi[None, :], np.zeros(0))
-    assert calls == [0]
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], [0])
 
 
 @pytest.mark.parametrize("form", PHASE_TWO_FORMS.values(), ids=PHASE_TWO_FORMS)
@@ -601,8 +602,8 @@ def test_single_shooting_is_one_interval_shooting():
     MultipleShooting(ShootingPlan.from_max_len(64, 16)),
 ], ids=["single-shooting", "ms16"])
 def test_default_point_builds_no_seeds(form):
-    # the seeds are built from data once, in __init__, one per interval
-    # start; default_point only reads them
+    # the seeds are built from data once, in __init__, by one call over
+    # every interval start; default_point only reads them
     model = lower_to_state_space(Pendulum())
     calls = []
 
@@ -611,7 +612,8 @@ def test_default_point_builds_no_seeds(form):
         return model.init_state(*args)
     counted = dataclasses.replace(model, init_state=init_state)
     prob = EstimationProblem(counted, gen_pendulum("b", seed=0, n=64), form)
-    assert calls == [0, 16, 32, 48][: prob.n_seeds]
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], [0, 16, 32, 48][: prob.n_seeds])
     del calls[:]
     first = prob.default_point(np.array([31.0, 2.2]))
     second = prob.default_point()
@@ -619,9 +621,9 @@ def test_default_point_builds_no_seeds(form):
     assert np.array_equal(first[2:], second[2:])
 
 
-def test_stateless_msa_builds_its_seeds_without_init_state():
+def test_stateless_msa_builds_its_seeds_in_one_init_state_call():
     # an incremental schedule builds one multi-step-ahead problem per
-    # horizon; a stateless model's seeds need no init_state call at all
+    # horizon; each build makes one init_state call over all its windows
     model = lower_to_state_space(linear_arx(2, 1, (0.5, -0.2, 2.0)))
     calls = []
 
@@ -630,7 +632,8 @@ def test_stateless_msa_builds_its_seeds_without_init_state():
         return model.init_state(*args)
     counted = dataclasses.replace(model, init_state=init_state)
     prob = EstimationProblem(counted, gen_linear2nd(n=20), MsaPem(4))
-    assert not calls
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.maximum(np.arange(1, 21) - 4, 0))
     assert prob._seeds.shape == (20, 0)
     assert np.isfinite(prob.cost(prob.default_point()))
 

@@ -453,22 +453,36 @@ def test_max_iter_status():
     assert res.iterations == 2
 
 
-def test_stationarity_is_tested_once_at_an_unmoved_point():
-    # started at the minimizer with tol = 0 the solve cannot converge and
-    # ends step-too-small where it started; the result's multipliers and
-    # KKT residual are the loop's test there, not a second one
-    base = _quadratic_nlp(np.eye(2), [0.0, 0.0], [[1.0, 1.0]], [2.0])
+def _counting_jac(nlp):
     calls = []
 
     def jac(x):
         calls.append(x.copy())
-        return base.jac(x)
-    nlp = dataclasses.replace(base, jac=jac)
+        return nlp.jac(x)
+    return dataclasses.replace(nlp, jac=jac), calls
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stationarity_is_tested_once_at_an_unmoved_point():
+    # started at the minimizer with tol = 0 the solve cannot converge and
+    # ends step-too-small where it started; the result's multipliers and
+    # KKT residual are the loop's test there, not a second one
+    nlp, calls = _counting_jac(
+        _quadratic_nlp(np.eye(2), [0.0, 0.0], [[1.0, 1.0]], [2.0]))
     res = solve(nlp, np.array([1.0, 1.0]), SolverOptions(tol=0.0))
     assert res.status == "step-too-small"
     assert np.array_equal(res.point, [1.0, 1.0])
     assert len(calls) == 1
     np.testing.assert_allclose(res.multipliers, [-1.0], rtol=1e-12)
+    # the radius-shrink path: from (2.2e-308, 2.2e-308) no step predicts a
+    # merit reduction, so 25 iterations shrink the radius to the floor
+    # without a trial and share the first iteration's test
+    case = next(c for c in KKT_CASES if c.id == "target-on-sphere")
+    nlp, calls = _counting_jac(case.values[0])
+    res = solve(nlp, np.array([2.2e-308, 2.2e-308]), _TRACED)
+    assert res.status == "step-too-small"
+    assert res.iterations == 25
+    assert len(calls) == 1
 
 
 def test_result_reports_cost_at_final_point():
