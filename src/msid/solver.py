@@ -20,7 +20,11 @@ correction.  The Jacobian's type picks the factorization:
   entry goes in LAPACK's band storage depends only on the number of
   intervals and states, so the ``KktLayout`` of each such pair is built
   once and memoized, and a factorization copies its band template of
-  constant entries and scatters the seed sensitivities into it;
+  constant entries and scatters the seed sensitivities into it.  LAPACK's
+  ``dgbtrf``/``dgbtrs`` come from scipy's f2py extension
+  ``scipy.linalg._flapack``, loaded on its own at the first such
+  factorization (``_lapack``), so the ``scipy.linalg`` package is never
+  imported;
 * any other (dense) Jacobian gets a thin SVD J = U S V', truncated like
   lstsq, which keeps lstsq's min-norm answers when J is rank-deficient.
 
@@ -35,7 +39,10 @@ once with status ``non-finite``.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -235,7 +242,9 @@ class ShootingKkt:
     One factorization copies the band template of the ``KktLayout`` of its
     (M - 1, n_x), scatters the seed sensitivities into it, factors K_b, solves K_b^-1 C and forms S.  Each
     answer is read from its own block of a solution of K, never formed as
-    -J'y, which loses digits once J is ill-conditioned.
+    -J'y, which loses digits once J is ill-conditioned.  ``dgbtrf`` and
+    ``dgbtrs`` come from ``_lapack()``: the routines ``scipy.linalg.lapack``
+    re-exports, without that package.
     """
 
     jac: ShootingJacobian
@@ -246,8 +255,6 @@ class ShootingKkt:
 
     @classmethod
     def of(cls, jac: ShootingJacobian) -> "ShootingKkt":
-        from scipy.linalg import lapack
-
         nth = jac.n_theta
         k, nx, _ = jac.blocks.shape
         size = (2 * k + 1) * nx
@@ -255,7 +262,7 @@ class ShootingKkt:
         layout = KktLayout.of(k, nx)
         ab = layout.template.copy(order="F")
         ab.ravel(order="F")[layout.blocks_at] = jac.blocks[..., nth:]
-        lu, piv, info = lapack.dgbtrf(ab, w, w, overwrite_ab=1)
+        lu, piv, info = _lapack().dgbtrf(ab, w, w, overwrite_ab=1)
         if info:
             raise np.linalg.LinAlgError(f"banded KKT factorization failed (info={info})")
         c = np.zeros((2 * k + 1, nx, nth))
@@ -292,11 +299,33 @@ class ShootingKkt:
         return self._solve(r, np.zeros(self.jac.shape[0]))[0]
 
 
-def _band_solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    from scipy.linalg import lapack
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded on its own.
 
+    Importing the ``scipy.linalg`` package to reach it would load some 300
+    further modules (numpy.testing, unittest, email, ...) for two routines.
+    ``import scipy`` sets up the shared libraries the extension links
+    against; the package ``__init__`` of ``scipy.linalg`` never runs.  It is
+    the module ``scipy.linalg.lapack`` re-exports its routines from, so its
+    answers are the same bits, and loading it enters it in ``sys.modules``
+    under its own name, where a later ``import scipy.linalg`` finds it.
+    """
+    import scipy
+
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [where])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension "
+                          f"_flapack in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _band_solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     w = (lu.shape[0] - 1) // 3          # kl = ku, band storage has 3w + 1 rows
-    x, info = lapack.dgbtrs(lu, w, w, rhs, piv)
+    x, info = _lapack().dgbtrs(lu, w, w, rhs, piv)
     if info:
         raise np.linalg.LinAlgError(f"banded KKT solve failed (info={info})")
     return x

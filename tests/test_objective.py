@@ -13,7 +13,7 @@ from msid.models import LogisticMap, Pendulum, linear_arx, linear_oe_2nd, \
 
 import msid.objective
 from msid.solver import (JacobianSvd, KktLayout, ShootingJacobian, ShootingKkt,
-                         SolverOptions, lagrange_multipliers, solve)
+                         SolverOptions, _lapack, lagrange_multipliers, solve)
 
 import oracles
 from test_models import ALL_FAMILIES
@@ -223,21 +223,23 @@ def test_banded_kkt_matches_svd(family, bounds, rng):
 
 def _assert_band_matches_oracle(jac, monkeypatch):
     # the band given to dgbtrf, and the LU and pivots it returns, have the
-    # bits of the per-entry placement in oracles.shooting_kkt_band
+    # bits of the per-entry placement in oracles.shooting_kkt_band factored
+    # by the public scipy.linalg.lapack.dgbtrf
     from scipy.linalg import lapack
 
     given = []
-    dgbtrf = lapack.dgbtrf
+    flapack = _lapack()
+    dgbtrf = flapack.dgbtrf
 
     def spy(ab, *args, **kwargs):
         given.append(ab.copy(order="F"))
         return dgbtrf(ab, *args, **kwargs)
-    monkeypatch.setattr(lapack, "dgbtrf", spy)
+    monkeypatch.setattr(flapack, "dgbtrf", spy)
     kkt = ShootingKkt.of(jac)
     ref = oracles.shooting_kkt_band(jac.blocks, jac.n_theta)
     assert len(given) == 1 and given[0].tobytes() == ref.tobytes()
     w = 2 * jac.blocks.shape[1] - 1
-    lu, piv, info = dgbtrf(ref, w, w)
+    lu, piv, info = lapack.dgbtrf(ref, w, w)
     assert info == 0
     assert kkt.lu.tobytes() == lu.tobytes() and kkt.piv.tobytes() == piv.tobytes()
 

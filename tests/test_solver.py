@@ -1,8 +1,11 @@
 import dataclasses
+import importlib.machinery
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -519,14 +522,49 @@ def test_infinite_trial_cost_is_rejected():
     assert any(rec["ratio"] == -np.inf for rec in res.trace)
 
 
-def test_import_loads_no_scipy():
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports
+    this checkout's msid."""
     src = pathlib.Path(msid.__file__).resolve().parents[1]
-    code = ("import sys, msid; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, msid; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_multiple_shooting_solve_loads_no_scipy_linalg():
+    # the banded KKT factorization loads LAPACK's extension module alone,
+    # not the scipy.linalg package and the test and mail modules it imports;
+    # the extension is registered under its own name
+    code = textwrap.dedent("""
+        import sys, numpy as np, msid
+        from msid.models import LogisticMap, lower_to_state_space
+        prob = msid.EstimationProblem(
+            lower_to_state_space(LogisticMap()), msid.gen_logistic(n=40),
+            msid.MultipleShooting(msid.ShootingPlan.from_max_len(40, 2)))
+        res = msid.solve(msid.as_nlp(prob), prob.default_point(np.array([3.5])),
+                         msid.SolverOptions(max_iter=5))
+        assert prob.n_constraints > 0 and res.iterations > 0
+        print(sorted(m for m in sys.modules
+                     if m.startswith(("scipy.linalg", "numpy.testing", "unittest"))))
+        """)
+    assert _fresh_python(code) == "['scipy.linalg._flapack']"
+
+
+def test_lapack_loader_names_scipy_and_the_directory_searched(monkeypatch):
+    import scipy
+
+    where = os.path.join(scipy.__path__[0], "linalg")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda *args, **kwargs: None)
+    with pytest.raises(ImportError, match=f"scipy .*_flapack in {re.escape(where)}"):
+        msid.solver._lapack.__wrapped__()
 
 
 def test_start_far_from_feasible_set():
