@@ -211,8 +211,7 @@ def build_formulation(obj: dict, n: int):
                f"boundaries must not exceed the record length {n}")
         # the record's ends close the plan where the config leaves them out
         bnd = [0] * (bnd[:1] != [0]) + bnd + [n] * (bnd[-1:] != [n])
-        return MultipleShooting(_call(path, ShootingPlan, tuple(bnd),
-                                      int(np.diff(bnd).max())))
+        return MultipleShooting(_call(path, ShootingPlan, tuple(bnd)))
     if kind == "multiple":
         max_len = _required(obj, "max_len", "config.formulation")
         return MultipleShooting(_call("config.formulation.max_len",

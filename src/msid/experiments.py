@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -96,41 +97,33 @@ def gen_pendulum(scenario: str = "a", seed: int = 0, n: int = 1024,
         noise_std = 0.0 if scenario == "b" else 0.03
 
     u = np.zeros(n)
-    ybar = np.zeros(n)
     states = np.zeros((n, 2))
     if scenario == "b":
         ref = np.pi + held_gaussian(rng, n, 0.2, 20)
-        x1, x2 = np.pi, 0.0
-        e_hist = [0.0, 0.0, 0.0]      # e[k-1], e[k-2], e[k-3]
-        u1 = u2 = 0.0
-        for k in range(n):
-            uk = _pendulum_control(e_hist[0], e_hist[1], e_hist[2], u1, u2, delta)
-            u[k] = uk
-            # the state update reads the previous input sample
-            u_prev = u[k - 1] if k else 0.0
-            x1, x2 = (x1 + delta * x2,
-                      -delta * a_true * np.sin(x1) + (1 - delta * ka / mass) * x2
-                      + (delta / mass) * u_prev)
-            states[k] = (x1, x2)
-            ybar[k] = x1
-            e_hist = [ref[k] - x1, e_hist[0], e_hist[1]]
-            u2, u1 = u1, uk
+        x1 = np.pi
     else:
-        std_u = 10.0 if scenario == "a" else 50.0
-        u[:] = held_gaussian(rng, n, std_u, 20)
-        x1 = x2 = 0.0
-        for k in range(n):
-            u_prev = u[k - 1] if k else 0.0
-            x1, x2 = (x1 + delta * x2,
-                      -delta * a_true * np.sin(x1) + (1 - delta * ka / mass) * x2
-                      + (delta / mass) * u_prev)
-            states[k] = (x1, x2)
-            ybar[k] = x1
+        u[:] = held_gaussian(rng, n, 10.0 if scenario == "a" else 50.0, 20)
+        x1 = 0.0
+    x2 = 0.0
+    e_hist = [0.0, 0.0, 0.0]      # e[k-1], e[k-2], e[k-3]
+    u1 = u2 = 0.0
+    for k in range(n):
+        if scenario == "b":
+            u[k] = _pendulum_control(e_hist[0], e_hist[1], e_hist[2], u1, u2, delta)
+        # the state update reads the previous input sample
+        u_prev = u[k - 1] if k else 0.0
+        x1, x2 = (x1 + delta * x2,
+                  -delta * a_true * np.sin(x1) + (1 - delta * ka / mass) * x2
+                  + (delta / mass) * u_prev)
+        states[k] = (x1, x2)
+        if scenario == "b":
+            e_hist = [ref[k] - x1, e_hist[0], e_hist[1]]
+            u2, u1 = u1, u[k]
     noise = rng.normal(0.0, noise_std, size=n) if noise_std else np.zeros(n)
     meta = {"generator": "pendulum", "scenario": scenario, "seed": seed,
             "noise_std": noise_std, "theta": list(PENDULUM_TRUE),
             "true_states": states.tolist(), "noise": noise.tolist()}
-    return Dataset(u, ybar + noise, meta)
+    return Dataset(u, states[:, 0] + noise, meta)
 
 
 def gen_linear2nd(setting: str = "a", seed: int = 0, n: int = 300,
@@ -341,20 +334,15 @@ def monte_carlo_study(config: MonteCarloConfig) -> ExperimentResult:
     realization.  Per-realization seeds are spawned deterministically
     from the study seed.
     """
+    kw = {} if config.noise_std is None else {"noise_std": config.noise_std}
     if config.generator == "linear2nd":
         theta_true = np.asarray(LINEAR2ND_SETTINGS[config.setting])
         family = linear_oe_2nd(tuple(theta_true))
-
-        def gen(seed):
-            kw = {} if config.noise_std is None else {"noise_std": config.noise_std}
-            return gen_linear2nd(config.setting, seed=seed, **kw)
+        gen = partial(gen_linear2nd, config.setting, **kw)
     else:
         theta_true = np.asarray(FARINA_TRUE)
         family = farina_polynomial()
-
-        def gen(seed):
-            kw = {} if config.noise_std is None else {"noise_std": config.noise_std}
-            return gen_farina(seed=seed, **kw)
+        gen = partial(gen_farina, **kw)
 
     opts = config.solver or SolverOptions()
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_realizations)
@@ -365,17 +353,12 @@ def monte_carlo_study(config: MonteCarloConfig) -> ExperimentResult:
         "theta_true": theta_true.tolist()})
     for i, ss in enumerate(seeds):
         run_seed = int(ss.generate_state(1)[0]) % (2 ** 32)
-        dataset = gen(run_seed)
-        theta_arx = arx_fit(dataset, 2, 1)
-        init = theta_arx[: len(theta_true)] if config.generator == "linear2nd" \
-            else theta_true * 0.0
+        dataset = gen(seed=run_seed)
+        init = (arx_fit(dataset, 2, 1)[: len(theta_true)]
+                if config.generator == "linear2nd" else theta_true * 0.0)
         for method in config.methods:
-            if method == "arx":
-                theta, info = theta_arx, {"status": "closed-form", "n_eval": 1,
-                                          "wall_time": 0.0}
-            else:
-                theta, info = estimate(family, dataset, method,
-                                       theta_init=init, solver_options=opts)
+            theta, info = estimate(family, dataset, method,
+                                   theta_init=init, solver_options=opts)
             err = np.asarray(theta[: len(theta_true)]) - theta_true
             result.records.append({
                 "realization": i, "seed": run_seed, "method": method,

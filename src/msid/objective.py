@@ -36,7 +36,6 @@ class ShootingPlan:
     """Interval boundaries m_1..m_{M+1} with m_1 = 0 and m_{M+1} = N."""
 
     boundaries: tuple
-    max_len: int
 
     def __post_init__(self):
         bd = tuple(int(b) for b in self.boundaries)
@@ -45,8 +44,6 @@ class ShootingPlan:
             raise ValueError("boundaries must start at 0 and contain at least one interval")
         if any(b2 <= b1 for b1, b2 in zip(bd, bd[1:])):
             raise ValueError("boundaries must be strictly increasing")
-        if max(b2 - b1 for b1, b2 in zip(bd, bd[1:])) > self.max_len:
-            raise ValueError("an interval exceeds max_len")
 
     @classmethod
     def from_max_len(cls, n: int, max_len: int) -> "ShootingPlan":
@@ -60,7 +57,7 @@ class ShootingPlan:
         m = -(-n // max_len)
         base, rem = divmod(n, m)
         lengths = [base + (1 if i < rem else 0) for i in range(m)]
-        return cls(tuple(np.concatenate([[0], np.cumsum(lengths)]).tolist()), max_len)
+        return cls(tuple(np.concatenate([[0], np.cumsum(lengths)]).tolist()))
 
     @property
     def m(self) -> int:
@@ -103,11 +100,10 @@ class _FullEval:
 
     cost: float
     interval_costs: np.ndarray | None = None
-    residuals: np.ndarray | None = None      # (B, T, N_out), masked
-    output_sens: np.ndarray | None = None    # (B, T, N_out, nc)
+    residuals: np.ndarray | None = None      # (B, T, N_out), kept steps only
+    output_sens: np.ndarray | None = None    # (B, T, N_out, nc), the same steps
     end_states: np.ndarray | None = None
     end_state_sens: np.ndarray | None = None
-    n_res: int = 0
     diverged: bool = False
     xs: np.ndarray | None = None             # phase-1 states, cost-only entries
 
@@ -124,10 +120,14 @@ class EstimationProblem:
     number of free seeds, n_constraints = max(n_seeds - 1, 0) N_x, the
     seeds built from measured data at every interval start (rolled out
     when no seed is decided, else the default point's seeds), the
-    measured outputs the residuals compare with, and the number of
-    leading residuals discarded (``n_transient`` for single shooting from
-    a fixed x0, else none).  Past ``__init__`` only multi-step-ahead,
-    whose windows predict at their last step alone, takes its own path.
+    measured output y[starts[b] + t] that step t of interval b predicts,
+    and the kept steps t >= first[b]: a multi-step-ahead window keeps its
+    last step alone (first = length - 1), single shooting from a fixed x0
+    drops ``n_transient`` leading steps, and every other interval keeps
+    all.  The kept steps give the residual count n_res and each
+    interval's divisor, and every formulation evaluates by the same rule:
+    the residuals of the kept steps that did not diverge, and their sum
+    of squares over n_res.
 
     Evaluations are cached by the point's bytes in 8 entries, the oldest
     evicted for a new point, so cost, gradient, constraints and their
@@ -150,7 +150,7 @@ class EstimationProblem:
         self._cache: dict[bytes, _FullEval] = {}
         # ((phi bytes, lam bytes), J(phi)' lam, sqrt(eps) (1 + ||phi||))
         self._jt_lam: tuple[tuple[bytes, bytes], np.ndarray, float] | None = None
-        f, y, n = formulation, dataset.y, dataset.n
+        f, n = formulation, dataset.n
         self._msa = isinstance(f, MsaPem)
         fixed_x0 = isinstance(f, SingleShooting) and not f.optimize_x0
         if self._msa:
@@ -165,14 +165,23 @@ class EstimationProblem:
             starts, lengths, self.n_seeds = np.array([0]), np.array([n]), int(not fixed_x0)
         self.n_decision = model.theta_dim + self.n_seeds * model.state_dim
         self.n_constraints = max(self.n_seeds - 1, 0) * model.state_dim
-        self._discard = model.n_transient if fixed_x0 else 0
         self._plan = IntervalPlan.of(model, self._zy, self._zu, starts, lengths)
-        if self._msa:
-            self._targets = y[:, None]
-        else:
-            # shooting residual at global time starts[i] + t
-            kk = starts[:, None] + np.arange(1, int(lengths.max()) + 1)[None, :]
-            self._targets = y[np.clip(kk - 1, 0, len(y) - 1)][:, :, None]
+        steps = np.arange(int(lengths.max()))
+        self._targets = dataset.y[np.minimum(starts[:, None] + steps, n - 1)][:, :, None]
+        first = (lengths - 1 if self._msa
+                 else np.full(len(starts), model.n_transient if fixed_x0 else 0))
+        self._kept = steps >= first[:, None]                    # (B, T)
+        self._drops = bool(first.any())
+        n_kept = np.maximum(lengths - first, 0)
+        self._n_res = int(n_kept.sum())
+        self._divisors = np.maximum(n_kept, 1)
+        # where some step is dropped, the sensitivity contractions read
+        # each interval's kept steps alone, gathered to the front of a
+        # (B, max n_kept) block whose padding is zero
+        span = np.arange(int(n_kept.max()))
+        self._kept_rows = (np.arange(len(starts))[:, None],
+                           np.minimum(first[:, None] + span, len(steps) - 1),
+                           span < n_kept[:, None])
         self._seeds = self.heuristic_seeds()
 
     # -- layout ------------------------------------------------------------
@@ -225,38 +234,19 @@ class EstimationProblem:
         return ev
 
     def _assemble(self, roll) -> _FullEval:
-        lengths = self._plan.lengths
-        if self._msa:
-            # only the last step of each window predicts
-            idx = lengths - 1
-            b = len(lengths)
-            preds = roll.predictions[np.arange(b), idx]         # (B, N_out)
-            jout = (roll.output_sens[np.arange(b), idx][:, None, :, :]
-                    if roll.output_sens is not None else None)
-            res = preds - self._targets
-            ok = ~roll.diverged
-            n_res = int(ok.sum())
-            cost = float(np.sum(res[ok] ** 2) / n_res) if n_res else np.inf
-            return _FullEval(np.inf if roll.any_diverged else cost,
-                             residuals=res[:, None, :], output_sens=jout,
-                             n_res=n_res, diverged=roll.any_diverged)
-
-        res = np.where(roll.valid[:, :, None], roll.predictions - self._targets, 0.0)
-        discard = self._discard
-        res[:, :discard, :] = 0.0
+        res = np.where((roll.valid & self._kept)[:, :, None],
+                       roll.predictions - self._targets, 0.0)
         sq = np.sum(res ** 2, axis=(1, 2))                      # (B,)
-        n_res = int(lengths.sum()) - discard
-        interval_costs = sq / np.maximum(lengths - discard, 1)
-        cost = float(sq.sum() / max(n_res, 1))
-        if roll.any_diverged:
-            cost = np.inf
+        cost = np.inf if roll.any_diverged else float(sq.sum() / max(self._n_res, 1))
         jout = roll.output_sens
-        if discard and jout is not None:
-            jout = jout.copy()
-            jout[:, :discard] = 0.0
-        return _FullEval(cost, interval_costs=interval_costs, residuals=res,
+        if self._drops:
+            rows, cols, pad = self._kept_rows
+            res = np.where(pad[:, :, None], res[rows, cols], 0.0)
+            if jout is not None:
+                jout = np.where(pad[:, :, None, None], jout[rows, cols], 0.0)
+        return _FullEval(cost, interval_costs=sq / self._divisors, residuals=res,
                          output_sens=jout, end_states=roll.end_states,
-                         end_state_sens=roll.end_state_sens, n_res=n_res,
+                         end_state_sens=roll.end_state_sens,
                          diverged=roll.any_diverged)
 
     # -- public operations -------------------------------------------------
@@ -271,10 +261,10 @@ class EstimationProblem:
     def _jt(self, ev: _FullEval, w) -> np.ndarray:
         """(2/n_res) J' w for w shaped like the residuals (B, T, N_out); all
         NaN when the rollout diverged or kept no residual."""
-        if ev.diverged or ev.n_res == 0:
+        if ev.diverged or self._n_res == 0:
             return np.full(self.n_decision, np.nan)
         nth = self.model.theta_dim
-        scale = 2.0 / ev.n_res
+        scale = 2.0 / self._n_res
         out = np.zeros(self.n_decision)
         out[:nth] = scale * np.einsum("btoj,bto->j", ev.output_sens[..., :nth], w)
         if self.n_seeds:
@@ -293,7 +283,10 @@ class EstimationProblem:
         _, x0s = self.split(np.concatenate([thetas[0], np.ravel(seeds)]))
         starts = self._plan.starts
         x0s = x0s if self.n_seeds else self._seeds
-        model, y, n, discard = self.model, self.dataset.y, self.dataset.n, self._discard
+        model, y, n = self.model, self.dataset.y, self.dataset.n
+        # shooting intervals tile the record, so their in-length steps in
+        # row order are the record's times in order
+        kept = self._kept[self._plan.in_length.T].tolist()
         g = thetas.shape[0]
         th = np.ascontiguousarray(thetas.T)
         # zero-stride views: every row reads the same regressors and seeds
@@ -310,9 +303,9 @@ class EstimationProblem:
                 z = RegressorWindow(zy[k], zu[k])
                 x = model.transition(x, z, th)
                 np.maximum(peak, np.abs(x), out=peak)   # NaN sticks
-                if k >= discard:
+                if kept[k]:
                     acc += (y[k] - model.output(x, z, th)[:, 0]) ** 2
-        costs = acc / max(n - discard, 1)
+        costs = acc / max(self._n_res, 1)
         costs[~(peak.max(axis=1, initial=0.0) <= _STATE_LIMIT)] = np.inf
         return costs
 
@@ -323,8 +316,8 @@ class EstimationProblem:
         return ev.cost, ev.interval_costs.copy()
 
     def gn_hessian_vec(self, phi, p) -> np.ndarray:
-        """(2/N) sum_k J[k]^T (J[k] p): the curvature of V with the
-        residual-curvature term dropped."""
+        """(2/n_res) sum_k J[k]^T (J[k] p) over the kept steps k: the
+        curvature of V with the residual-curvature term dropped."""
         ev = self._evaluate(phi, with_sens=True)
         p = np.asarray(p, dtype=float)
         nth = self.model.theta_dim

@@ -493,11 +493,12 @@ def merit(v_val: float, c: np.ndarray, mu: float) -> float:
 
 
 def merit_and_ratio(v0, c0, v1, c1, predicted, mu):
-    """Actual over predicted reduction of the merit function."""
-    if predicted <= 0 or not np.isfinite(v1) or not np.all(np.isfinite(c1)):
-        return -np.inf
+    """The actual reduction of the merit function and its ratio to the
+    predicted one (> 0), both -inf at a non-finite trial."""
+    if not np.isfinite(v1) or not np.all(np.isfinite(c1)):
+        return -np.inf, -np.inf
     actual = merit(v0, c0, mu) - merit(v1, c1, mu)
-    return actual / predicted
+    return actual, actual / predicted
 
 
 def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> SolverResult:
@@ -585,7 +586,7 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
         v_trial = float(problem.f(x_trial))
         n_eval += 1
         c_trial = problem.constraint(x_trial)
-        rho = merit_and_ratio(v_val, c, v_trial, c_trial, predicted, penalty)
+        actual, rho = merit_and_ratio(v_val, c, v_trial, c_trial, predicted, penalty)
 
         if opts.trace:
             trace.append({"iteration": it, "V": v_val,
@@ -595,7 +596,7 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
 
         improved = 0.0
         if rho > opts.accept_ratio:
-            improved = merit(v_val, c, penalty) - merit(v_trial, c_trial, penalty)
+            improved = actual
             x = x_trial
             g = None
             v_val = v_trial

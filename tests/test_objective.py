@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from msid import (Dataset, EstimationProblem, MsaPem, MultipleShooting,
                   ShootingPlan, SingleShooting, as_nlp, gen_linear2nd,
                   gen_logistic, gen_pendulum)
-from msid.models import LogisticMap, Pendulum, linear_arx, linear_oe_2nd, \
-    lower_to_state_space
+from msid.models import LogisticMap, Pendulum, RegressorWindow, linear_arx, \
+    linear_oe_2nd, lower_to_state_space
 
 import msid.objective
 from msid.solver import (JacobianSvd, KktLayout, ShootingJacobian, ShootingKkt,
@@ -39,12 +39,12 @@ def test_plan_from_max_len_partitions_record():
 
 def test_plan_rejects_duplicate_boundary():
     with pytest.raises(ValueError):
-        ShootingPlan((3, 3), 4)
+        ShootingPlan((0, 3, 3))
 
 
 def test_plan_rejects_unsorted_boundaries():
     with pytest.raises(ValueError):
-        ShootingPlan((5, 2), 6)
+        ShootingPlan((0, 5, 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -110,28 +110,79 @@ def test_constraints_measure_seed_mismatch():
     assert np.abs(dc[: prob.model.state_dim]).max() > 0
 
 
-def test_msa_cost_matches_direct_window_computation():
-    k_hor = 3
-    prob = _logistic_problem(MsaPem(k_hor), n=12)
-    model, ds = prob.model, prob.dataset
-    theta = np.array([3.4])
-    phi = prob.default_point(theta)
-    sq = []
-    for k in range(1, 13):
-        s = max(0, k - k_hor)
-        x = model.init_state(ds.y, ds.u, np.array([s]))[0]
-        for t in range(s + 1, k + 1):
+def _logistic_residuals(prob, phi):
+    """The residuals a logistic problem keeps, from each formulation's
+    definition: one interval or window at a time, each rolled out step by
+    step from its seed, and compared with the data at its kept steps."""
+    model, ds, form, n = prob.model, prob.dataset, prob.formulation, prob.dataset.n
+    theta, seeds = phi[:1], phi[1:, None]
+    if isinstance(form, MsaPem):
+        # (start, end, first kept step): every window predicts at its end
+        windows = [(max(0, k - form.horizon), k, min(k, form.horizon) - 1)
+                   for k in range(1, n + 1)]
+    elif isinstance(form, MultipleShooting):
+        bnd = form.plan.boundaries
+        windows = [(s, e, 0) for s, e in zip(bnd, bnd[1:])]
+    else:
+        windows = [(0, n, 0 if form.optimize_x0 else model.n_transient)]
+    if not seeds.size:
+        seeds = model.init_state(ds.y, ds.u, np.array([s for s, _, _ in windows]))
+    res = []
+    for (s, e, first), x in zip(windows, seeds):
+        for t in range(s + 1, e + 1):
             zy = np.array([[ds.y[t - 2] if t >= 2 else ds.y[0]]])
             zu = np.zeros((1, 1))
-            from msid.models import RegressorWindow
             x = model.transition(np.atleast_2d(x), RegressorWindow(zy, zu), theta)[0]
-        sq.append((ds.y[k - 1] - x[0]) ** 2)
-    assert prob.cost(phi) == pytest.approx(float(np.mean(sq)), rel=1e-12)
+            if t - s - 1 >= first:
+                res.append(x[0] - ds.y[t - 1])
+    return np.array(res)
 
 
-def test_divergent_parameters_give_infinite_cost():
-    prob = _logistic_problem(SingleShooting(optimize_x0=True), n=60)
-    assert prob.cost(np.array([5.5, 0.5])) == np.inf
+def test_msa_cost_matches_direct_window_computation():
+    prob = _logistic_problem(MsaPem(3), n=12)
+    phi = prob.default_point(np.array([3.4]))
+    res = _logistic_residuals(prob, phi)
+    assert res.size == 12
+    assert prob.cost(phi) == pytest.approx(float(np.mean(res ** 2)), rel=1e-12)
+
+
+KEPT_STEP_FORMS = {
+    "single-shooting": SingleShooting(optimize_x0=True),
+    "single-shooting-fixed-x0": SingleShooting(optimize_x0=False),
+    "ms4": MultipleShooting(ShootingPlan.from_max_len(30, 4)),
+    "msa4": MsaPem(4),
+}
+
+
+@pytest.mark.parametrize("form", KEPT_STEP_FORMS.values(), ids=KEPT_STEP_FORMS)
+def test_gn_hessian_vec_matches_the_direct_residual_jacobian(form, rng):
+    # p' H p = 2/n_res ||J p||^2 with J p a central difference of the kept
+    # residuals; a residual step the cost drops must not enter the product
+    prob = _logistic_problem(form, n=30)
+    for _ in range(3):
+        phi = prob.default_point(rng.uniform(3.0, 3.5, size=1))
+        phi = phi + rng.normal(scale=0.01, size=phi.size)
+        p = rng.normal(size=phi.size)
+        res = _logistic_residuals(prob, phi)
+        assert prob.cost(phi) == pytest.approx(float(np.mean(res ** 2)), rel=1e-12)
+        h = 1e-6
+        jp = (_logistic_residuals(prob, phi + h * p)
+              - _logistic_residuals(prob, phi - h * p)) / (2 * h)
+        want = 2.0 / res.size * float(jp @ jp)
+        assert float(p @ prob.gn_hessian_vec(phi, p)) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("form", [
+    SingleShooting(optimize_x0=True),
+    SingleShooting(optimize_x0=False),
+    MultipleShooting(ShootingPlan.from_max_len(60, 20)),
+    MsaPem(20),
+], ids=["single-shooting", "single-shooting-fixed-x0", "ms20", "msa20"])
+def test_divergent_parameters_give_infinite_cost(form):
+    prob = _logistic_problem(form, n=60)
+    phi = prob.default_point(np.array([5.5]))
+    assert prob.cost(phi) == np.inf
+    assert np.isnan(prob.gradient(phi)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +236,7 @@ SHOOTING_BOUNDS = {"unequal": (0, 3, 4, 9, 11, 16), "two-intervals": (0, 7, 16)}
 
 def _shooting_point(family, bounds, rng):
     make_family, generate, theta = SHOOTING_FAMILIES[family]
-    plan = ShootingPlan(bounds, int(np.diff(bounds).max()))
+    plan = ShootingPlan(bounds)
     prob = EstimationProblem(lower_to_state_space(make_family()),
                              generate(bounds[-1]), MultipleShooting(plan))
     phi = prob.default_point(None if theta is None else np.array(theta))
@@ -518,7 +569,7 @@ def test_batch_costs_match_cost(data):
         inner = data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1),
                           label="boundaries")
         bnd = (0, *sorted(inner), n)
-        form = MultipleShooting(ShootingPlan(bnd, int(np.diff(bnd).max())))
+        form = MultipleShooting(ShootingPlan(bnd))
     else:
         form = SingleShooting(optimize_x0=kind == "single-x0")
     prob = EstimationProblem(model, ds, form)
@@ -582,7 +633,7 @@ def test_single_shooting_is_one_interval_shooting():
     ds = gen_pendulum("b", seed=0, n=64)
     model = lower_to_state_space(Pendulum())
     single = EstimationProblem(model, ds, SingleShooting(optimize_x0=True))
-    one = EstimationProblem(model, ds, MultipleShooting(ShootingPlan((0, 64), 64)))
+    one = EstimationProblem(model, ds, MultipleShooting(ShootingPlan((0, 64))))
     phi = single.default_point(np.array([31.0, 2.2]))
     assert np.array_equal(phi, one.default_point(np.array([31.0, 2.2])))
     p = np.random.default_rng(3).normal(size=phi.size)
