@@ -63,6 +63,13 @@ def _required(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _given(obj: dict, *keys: str, **renamed: str) -> dict:
+    """The keys that obj sets, as keyword arguments (renamed: name=key); a
+    key left out is not passed, so the callee owns its default."""
+    names = dict(zip(keys, keys), **renamed)
+    return {name: obj[key] for name, key in names.items() if key in obj}
+
+
 def _call(path: str, fn, *args, **kwargs):
     """fn(*args, **kwargs), its ValueError reported against a field path."""
     try:
@@ -151,16 +158,18 @@ def validate_config(cfg) -> dict:
 def build_model_family(obj: dict):
     family = _required(obj, "family", "config.model")
     theta = obj.get("theta")
+    # without a θ in the config, a family's own default stands
+    given = (tuple(theta),) if theta else ()
     if family == "logistic":
         return LogisticMap()
     if family == "pendulum":
         return Pendulum()
     if family == "linear-oe-2nd":
-        return linear_oe_2nd(tuple(theta) if theta else (0.5, -0.2, 2.0))
+        return linear_oe_2nd(*given)
     if family == "linear-arx":
         return linear_arx(2, 1, tuple(theta) if theta else (0.5, -0.2, 2.0))
     if family == "farina":
-        return farina_polynomial(tuple(theta) if theta else xp.FARINA_TRUE)
+        return farina_polynomial(*given)
     raise ConfigError(f"config.model.family: unknown family {family!r}")
 
 
@@ -203,7 +212,7 @@ def build_dataset(obj: dict, seed: int) -> Dataset:
 def build_formulation(obj: dict, n: int):
     kind = _required(obj, "kind", "config.formulation")
     if kind == "single":
-        return SingleShooting(optimize_x0=obj.get("optimize_x0", True))
+        return SingleShooting(**_given(obj, "optimize_x0"))
     if kind == "multiple" and "boundaries" in obj:
         path = "config.formulation.boundaries"
         bnd = list(obj["boundaries"])
@@ -381,14 +390,12 @@ def build_smoothness(cfg, seed):
         ds_full = problems[max(lengths)].dataset
         y_lo, y_hi = float(ds_full.y.min()), float(ds_full.y.max())
         contraction = estimate_contraction(
-            model, 0.5 * (box[0] + box[1]), (y_lo, y_hi),
-            samples=sm.get("contraction_samples", 2000), seed=seed,
-            output_box=(y_lo, y_hi),
-            input_box=(float(ds_full.u.min()), float(ds_full.u.max())))
+            model, 0.5 * (box[0] + box[1]), (y_lo, y_hi), (y_lo, y_hi),
+            (float(ds_full.u.min()), float(ds_full.u.max())), seed=seed,
+            **_given(sm, samples="contraction_samples"))
         report = smoothness_report(
-            cost_builder, grad_builder, lengths, box, contraction,
-            pair_samples=sm.get("pair_samples", 200), seed=seed,
-            hess_vec_builder=hess_builder)
+            cost_builder, grad_builder, lengths, box, contraction, seed=seed,
+            hess_vec_builder=hess_builder, **_given(sm, "pair_samples"))
         with open(os.path.join(out_dir, "smoothness.json"), "w") as fh:
             fh.write(report.to_json())
             fh.write("\n")
@@ -409,16 +416,13 @@ def _multi_start(cfg, study, seed, opts):
     if target is not None:
         _per_parameter(target, problem.model, "config.study.target")
     return lambda out_dir: xp.multi_start_study(
-        problem, guesses, opts, target=target, tol=study.get("tol", 1e-3))
+        problem, guesses, opts, target=target, **_given(study, "tol"))
 
 
 def _monte_carlo(cfg, study, seed, opts):
-    mc = _call("config.study", xp.MonteCarloConfig,
-               generator=study.get("generator", "linear2nd"),
-               setting=study.get("setting", "c"),
-               n_realizations=study.get("n_realizations", 20),
-               methods=tuple(study.get("methods", ("arx", "oe-ss"))),
-               seed=seed, noise_std=study.get("noise_std"), solver=opts)
+    mc = _call("config.study", xp.MonteCarloConfig, seed=seed, solver=opts,
+               **_given(study, "generator", "setting", "n_realizations",
+                        "methods", "noise_std"))
     return lambda out_dir: xp.monte_carlo_study(mc)
 
 
@@ -453,7 +457,7 @@ def _timing(cfg, study, seed, opts):
 
     def run(out_dir):
         result = xp.timing_study(family, ds, k_list=k_list, dm_list=dm_list,
-                                 reps=study.get("reps", 5))
+                                 **_given(study, "reps"))
         # the measured times go to their own file; result.json drops them
         write_json(os.path.join(out_dir, "timing.json"),
                    dataclasses.asdict(result), deterministic=False)

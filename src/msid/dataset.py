@@ -12,7 +12,8 @@ class Dataset:
 
     Arrays are 0-based: index j corresponds to sample k = j + 1.  ``meta``
     carries generator bookkeeping (seed, generator id, noise realization,
-    true states) so that experiments are exactly reproducible.
+    true states) so that experiments are exactly reproducible; a record
+    read with ``from_csv`` has none.
     """
 
     u: np.ndarray
@@ -43,7 +44,8 @@ class Dataset:
                 fh.write(f"{j + 1},{float(self.u[j])!r},{float(self.y[j])!r}\n")
 
     @classmethod
-    def from_csv(cls, path, meta: dict | None = None) -> "Dataset":
+    def from_csv(cls, path) -> "Dataset":
+        """Read the ``k,u,y`` rows that ``to_csv`` writes; empty ``meta``."""
         with open(path) as fh:
             header = fh.readline().strip()
             if header.split(",")[:3] != ["k", "u", "y"]:
@@ -58,4 +60,4 @@ class Dataset:
                     raise ValueError(f"row {line!r} has fewer than 3 fields")
                 u.append(float(parts[1]))
                 y.append(float(parts[2]))
-        return cls(np.array(u), np.array(y), dict(meta or {}))
+        return cls(np.array(u), np.array(y))

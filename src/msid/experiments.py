@@ -17,13 +17,14 @@ from functools import partial
 import numpy as np
 
 from .dataset import Dataset
-from .models import farina_polynomial, linear_oe_2nd, lower_to_state_space
+from .models import Pendulum, farina_polynomial, linear_oe_2nd, lower_to_state_space
 from .objective import (EstimationProblem, MsaPem, MultipleShooting,
                         ShootingPlan, SingleShooting, as_nlp)
 from . import solver
 from .solver import SolverOptions
 
-PENDULUM_TRUE = (9.8 / 0.3, 2.0)
+# the true systems of the pendulum and Farina records are the families' defaults
+PENDULUM_TRUE = (Pendulum.g_over_l, Pendulum.k_a)
 
 
 def study_options(**overrides) -> SolverOptions:
@@ -42,7 +43,7 @@ LINEAR2ND_SETTINGS = {
     "b": (1.5, -0.7, 0.5),
     "c": (1.8, -0.95, 0.1),
 }
-FARINA_TRUE = (0.6, -0.5)
+FARINA_TRUE = farina_polynomial().theta
 
 
 def held_gaussian(rng, n: int, std: float, hold: int) -> np.ndarray:
@@ -92,7 +93,7 @@ def gen_pendulum(scenario: str = "a", seed: int = 0, n: int = 1024,
         raise ValueError("scenario must be one of 'a', 'b', 'c'")
     rng = np.random.default_rng(seed)
     a_true, ka = PENDULUM_TRUE
-    mass, delta = 3.0, 0.01
+    mass, delta = Pendulum.mass, Pendulum.delta
     if noise_std is None:
         noise_std = 0.0 if scenario == "b" else 0.03
 
@@ -317,6 +318,7 @@ class MonteCarloConfig:
     solver: SolverOptions | None = None
 
     def __post_init__(self):
+        self.methods = tuple(self.methods)      # a config gives a JSON list
         if self.generator not in ("linear2nd", "farina"):
             raise ValueError("generator must be 'linear2nd' or 'farina', "
                              f"not {self.generator!r}")
@@ -418,9 +420,9 @@ SAMPLE_SECONDS = 0.1    # wall time per setting and repetition
 
 
 def timing_study(model_family, dataset: Dataset, k_list=(), dm_list=(),
-                 reps: int = 5, theta=None) -> ExperimentResult:
+                 reps: int = 5) -> ExperimentResult:
     """Wall time per cost evaluation versus the horizon K and versus the
-    interval cap of multiple shooting.
+    interval cap of multiple shooting, at the family's default parameters.
 
     Multiple-shooting timing uses ``batch_costs`` at one parameter
     vector, whose work is proportional to the record length alone.  Each
@@ -431,9 +433,7 @@ def timing_study(model_family, dataset: Dataset, k_list=(), dm_list=(),
     the mean over all of its evaluations.
     """
     model = lower_to_state_space(model_family)
-    if theta is None:
-        theta = model.default_theta
-    theta = np.asarray(theta, float)
+    theta = model.default_theta
     result = ExperimentResult(config={
         "study": "timing", "model": model.name, "n": dataset.n,
         "k_list": list(k_list), "dm_list": list(dm_list), "reps": reps})

@@ -59,7 +59,8 @@ class StateSpaceModel:
     the h-Jacobians at x[k-1] and the g-Jacobians at x[k], hence the
     split.  ``init_state(y, u, m)`` builds heuristic states from measured
     data at the boundary times in the int array m (B,), one row of the
-    (B, N_x) result per time (hold-first padded near the edges).
+    (B, N_x) result per time (hold-first padded near the edges).  ``n_y``
+    and ``n_u`` are the regressor's lag orders.
     """
 
     name: str
@@ -68,7 +69,6 @@ class StateSpaceModel:
     output_dim: int
     n_y: int
     n_u: int
-    n_v: int
     transition: Callable
     output: Callable
     transition_jacobians: Callable
@@ -210,6 +210,21 @@ def _apply_coeffs(vals, th):
     return np.einsum("bt,bt->b", vals, _theta_rows(th, vals.shape[0]))
 
 
+def _first_state_output(nx, nth):
+    """(output, output_jacobians) of yhat = x[0], the first of nx states,
+    for a model of nth parameters: (C, F) = (e_1', 0)."""
+    def output(x, z, th):
+        return x[:, :1].copy()
+
+    def ojac(x, z, th):
+        b = x.shape[0]
+        C = np.zeros((b, 1, nx))
+        C[:, 0, 0] = 1.0
+        return C, np.zeros((b, 1, nth))
+
+    return output, ojac
+
+
 def _output_error(name, p, n_u, theta0, f, df) -> StateSpaceModel:
     """Lower y[k] = f(y[k-1..k-p], u; theta), where the y-lags are past
     *model* outputs: the state is a shift register of the last p of them,
@@ -222,9 +237,6 @@ def _output_error(name, p, n_u, theta0, f, df) -> StateSpaceModel:
         # no concatenate at p = 1: it costs the logistic map's per-step loops
         return y if p == 1 else np.concatenate([y, x[:, : p - 1]], axis=1)
 
-    def output(x, z, th):
-        return x[:, :1].copy()
-
     def tjac(x, z, th):
         dx, dth = df(x, z, th)
         b = x.shape[0]
@@ -236,19 +248,14 @@ def _output_error(name, p, n_u, theta0, f, df) -> StateSpaceModel:
         B[:, 0, :] = dth
         return A, B
 
-    def ojac(x, z, th):
-        b = x.shape[0]
-        C = np.zeros((b, 1, p))
-        C[:, 0, 0] = 1.0
-        return C, np.zeros((b, 1, nth))
-
     def init_state(y, u, m):
         return y[np.maximum(m[:, None] - 1 - np.arange(p), 0)]
 
+    output, ojac = _first_state_output(p, nth)
     return StateSpaceModel(
         name=name,
         state_dim=p, theta_dim=nth, output_dim=1,
-        n_y=p, n_u=n_u, n_v=0,
+        n_y=p, n_u=n_u,
         transition=transition, output=output,
         transition_jacobians=tjac, output_jacobians=ojac,
         init_state=init_state,
@@ -282,9 +289,6 @@ def _lower_pendulum(fam: Pendulum) -> StateSpaceModel:
         out[:, 1] = -d * a * np.sin(x1) + (1.0 - d * ka / mm) * x2 + (d / mm) * u1
         return out
 
-    def output(x, z, th):
-        return x[:, :1].copy()
-
     def tjac(x, z, th):
         a, ka = th[0], th[1]
         b = x.shape[0]
@@ -299,12 +303,6 @@ def _lower_pendulum(fam: Pendulum) -> StateSpaceModel:
         B[:, 1, 1] = -d * x2 / mm
         return A, B
 
-    def ojac(x, z, th):
-        b = x.shape[0]
-        C = np.zeros((b, 1, 2))
-        C[:, 0, 0] = 1.0
-        return C, np.zeros((b, 1, 2))
-
     def init_state(y, u, m):
         n = len(y)
         i = np.clip(m - 1, 0, n - 1)
@@ -314,10 +312,11 @@ def _lower_pendulum(fam: Pendulum) -> StateSpaceModel:
         vel = np.where(ip > im, (y[ip] - y[im]) / (np.maximum(ip - im, 1) * d), 0.0)
         return np.stack([y[i], vel], axis=1)
 
+    output, ojac = _first_state_output(2, 2)
     return StateSpaceModel(
         name="pendulum",
         state_dim=2, theta_dim=2, output_dim=1,
-        n_y=0, n_u=1, n_v=0,
+        n_y=0, n_u=1,
         transition=transition, output=output,
         transition_jacobians=tjac, output_jacobians=ojac,
         init_state=init_state,
@@ -414,7 +413,7 @@ def _lower_polynomial(fam: Polynomial) -> StateSpaceModel:
     return StateSpaceModel(
         name="poly-arx",
         state_dim=0, theta_dim=nt, output_dim=1,
-        n_y=ny, n_u=nu, n_v=0,
+        n_y=ny, n_u=nu,
         transition=transition, output=output,
         transition_jacobians=tjac, output_jacobians=ojac,
         init_state=init_state,
@@ -467,7 +466,7 @@ def _lower_armax(fam: LinearARMAX) -> StateSpaceModel:
     if na < 0 or nb < 0:
         raise ModelStructureError("ARMAX lags must be non-negative")
     if nc < 1:
-        raise ModelStructureError("ARMAX needs n_v >= 1 (use an ARX model otherwise)")
+        raise ModelStructureError("ARMAX needs n_c >= 1 (use an ARX model otherwise)")
     ntheta = na + nb + nc
     theta0 = np.zeros(ntheta) if fam.theta is None else np.asarray(fam.theta, float)
     if theta0.shape != (ntheta,):
@@ -525,7 +524,7 @@ def _lower_armax(fam: LinearARMAX) -> StateSpaceModel:
     return StateSpaceModel(
         name="linear-armax",
         state_dim=nc, theta_dim=ntheta, output_dim=1,
-        n_y=n_y, n_u=n_u, n_v=nc,
+        n_y=n_y, n_u=n_u,
         transition=transition, output=output,
         transition_jacobians=tjac, output_jacobians=ojac,
         init_state=init_state,

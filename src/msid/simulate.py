@@ -41,7 +41,8 @@ _STATE_LIMIT = 1e150
 
 @dataclass
 class BatchRollout:
-    """Lockstep rollout of B intervals with possibly unequal lengths."""
+    """Lockstep rollout of B intervals with possibly unequal lengths; a
+    diverged interval b diverged at the 1-based step valid[b].sum() + 1."""
 
     states: np.ndarray        # (B, T, N_x); rows past an interval's end are frozen
     predictions: np.ndarray | None       # (B, T, N_out), None without outputs
@@ -50,7 +51,6 @@ class BatchRollout:
     end_state_sens: np.ndarray | None    # (B, N_x, nc)
     valid: np.ndarray         # (B, T) bool
     diverged: np.ndarray      # (B,) bool
-    divergence_step: np.ndarray          # (B,) int, -1 when finite
     xs: np.ndarray            # (T+1, B, N_x) phase-1 states, time-major
 
     @property
@@ -150,15 +150,14 @@ def run_intervals(model: StateSpaceModel, theta, x0, plan: IntervalPlan,
     if not bad.any() and plan.full:
         # no interval diverged or ended early: nothing to hold or zero
         diverged = np.zeros(b, dtype=bool)
-        div_step = np.full(b, -1)
         valid = np.ones((b, t_max), dtype=bool)
         end_states = xs[t_max].copy()
         end_sens = dmat[t_max].copy() if with_sens else None
     else:
         diverged = bad.any(axis=0)
-        div_step = np.where(diverged, bad.argmax(axis=0) + 1, -1)
-        # index into xs of each interval's last good state
-        last = np.where(diverged, div_step - 1, plan.lengths)
+        # index into xs of each interval's last good state: the one before
+        # the first bad step
+        last = np.where(diverged, bad.argmax(axis=0), plan.lengths)
         steps = np.arange(1, t_max + 1)[:, None]
         held = np.minimum(steps, last)
         cols = np.arange(b)
@@ -179,5 +178,4 @@ def run_intervals(model: StateSpaceModel, theta, x0, plan: IntervalPlan,
         return None if arr is None else np.ascontiguousarray(arr.swapaxes(0, 1))
 
     return BatchRollout(batch_major(states), batch_major(preds),
-                        batch_major(jout), end_states, end_sens, valid, diverged,
-                        div_step, xs)
+                        batch_major(jout), end_states, end_sens, valid, diverged, xs)

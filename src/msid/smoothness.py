@@ -74,15 +74,14 @@ class SmoothnessReport:
         return cls(**raw)
 
 
-def estimate_contraction(model: StateSpaceModel, theta, state_box,
-                         samples: int = 2000, seed: int = 0,
-                         output_box=None, input_box=None) -> float:
+def estimate_contraction(model: StateSpaceModel, theta, state_box, output_box,
+                         input_box, samples: int = 2000, seed: int = 0) -> float:
     """Largest sampled spectral norm of the state Jacobian A.
 
-    ``state_box`` is (lo, hi) per state component; regressor entries are
-    sampled from ``output_box`` / ``input_box`` when given, else held at
-    the box midpoint / zero.  A lower bound on the true contraction
-    constant over the box.
+    ``state_box`` is (lo, hi) per state component; the regressor's past
+    outputs are sampled from ``output_box`` and its inputs from
+    ``input_box``, each a (lo, hi) pair.  A lower bound on the true
+    contraction constant over the boxes.
     """
     if model.state_dim == 0:
         return 0.0
@@ -90,33 +89,24 @@ def estimate_contraction(model: StateSpaceModel, theta, state_box,
     lo, hi = (np.broadcast_to(np.asarray(b, float), (model.state_dim,))
               for b in state_box)
     x = rng.uniform(lo, hi, size=(samples, model.state_dim))
-    if output_box is not None:
-        zy = rng.uniform(output_box[0], output_box[1], size=(samples, model.n_y))
-    else:
-        zy = np.full((samples, model.n_y), float(np.mean([lo.mean(), hi.mean()])))
-    if input_box is not None:
-        zu = rng.uniform(input_box[0], input_box[1], size=(samples, model.n_u + 1))
-    else:
-        zu = np.zeros((samples, model.n_u + 1))
+    zy = rng.uniform(output_box[0], output_box[1], size=(samples, model.n_y))
+    zu = rng.uniform(input_box[0], input_box[1], size=(samples, model.n_u + 1))
     a_mat, _ = model.transition_jacobians(x, RegressorWindow(zy, zu),
                                           np.asarray(theta, float))
     norms = np.linalg.norm(a_mat, ord=2, axis=(1, 2))
     return float(np.max(norms))
 
 
-def _sample_pairs(box, n_pairs, separations, rng):
+def _sample_pairs(box, n_pairs, rng):
     lo, hi = (np.asarray(b, float) for b in box)
-    lo, hi = np.broadcast_arrays(lo, hi)
-    dim = lo.shape[0] if lo.ndim else 1
-    lo = np.atleast_1d(lo).astype(float)
-    hi = np.atleast_1d(hi).astype(float)
+    dim = lo.shape[0]
     pairs = []
     n_global = max(n_pairs // 2, 1)
     a = rng.uniform(lo, hi, size=(n_global, dim))
     b = rng.uniform(lo, hi, size=(n_global, dim))
     pairs.extend(zip(a, b))
-    n_local = max((n_pairs - n_global) // max(len(separations), 1), 1)
-    for sep in separations:
+    n_local = max((n_pairs - n_global) // len(DEFAULT_SEPARATIONS), 1)
+    for sep in DEFAULT_SEPARATIONS:
         base = rng.uniform(lo, hi, size=(n_local, dim))
         direc = rng.normal(size=(n_local, dim))
         direc /= np.linalg.norm(direc, axis=1, keepdims=True)
@@ -125,8 +115,7 @@ def _sample_pairs(box, n_pairs, separations, rng):
     return pairs
 
 
-def _sampled_sup(value, gap, param_box, pair_samples, separations, seed,
-                 deriv=None) -> PairEstimate:
+def _sampled_sup(value, gap, param_box, pair_samples, seed, deriv=None) -> PairEstimate:
     """Largest ``gap(value(a), value(b)) / ||a - b||`` over the sampled
     pairs, joined by the largest ||deriv(p, d)|| over uniform points p with
     random unit directions d when ``deriv`` is given; pairs or points with
@@ -135,7 +124,7 @@ def _sampled_sup(value, gap, param_box, pair_samples, separations, seed,
     best = 0.0
     n_used = 0
     n_excl = 0
-    for a, b in _sample_pairs(param_box, pair_samples, separations, rng):
+    for a, b in _sample_pairs(param_box, pair_samples, rng):
         dist = np.linalg.norm(a - b)
         if dist == 0:
             continue
@@ -146,9 +135,8 @@ def _sampled_sup(value, gap, param_box, pair_samples, separations, seed,
         n_used += 1
         best = max(best, gap(va, vb) / dist)
     if deriv is not None:
-        lo, hi = (np.atleast_1d(np.asarray(b, float)) for b in param_box)
-        pts = rng.uniform(*np.broadcast_arrays(lo, hi),
-                          size=(max(pair_samples // 2, 1), len(lo)))
+        lo, hi = (np.asarray(b, float) for b in param_box)
+        pts = rng.uniform(lo, hi, size=(max(pair_samples // 2, 1), len(lo)))
         for p, d in zip(pts, rng.normal(size=pts.shape)):
             dp = np.asarray(deriv(p, d / np.linalg.norm(d)), float)
             if np.all(np.isfinite(dp)):
@@ -158,34 +146,34 @@ def _sampled_sup(value, gap, param_box, pair_samples, separations, seed,
     return PairEstimate(best, n_used, n_excl)
 
 
-def estimate_lipschitz(cost, param_box, pair_samples: int = 200,
-                       separations=DEFAULT_SEPARATIONS, seed: int = 0,
+def estimate_lipschitz(cost, param_box, pair_samples: int = 200, seed: int = 0,
                        grad=None) -> PairEstimate:
     """Sampled lower bound on the Lipschitz constant of ``cost``.
 
-    Pairs mix global draws with local draws at shrinking separations;
-    non-finite evaluations are excluded and counted.  When an analytic
+    ``param_box`` is (lo, hi), two 1-D arrays with one entry per
+    parameter.  About half of the ``pair_samples`` pairs are uniform in
+    the box; the rest sit at the distances ``DEFAULT_SEPARATIONS``.
+    Non-finite evaluations are excluded and counted.  When an analytic
     ``grad`` is supplied, the sampled sup of its norm joins the bound
     (the gradient sup over a convex box is the Lipschitz constant, and a
     sampled sup still under-estimates it, so the lower-bound contract is
     kept while fine-scale growth stays visible).
     """
     return _sampled_sup(cost, lambda va, vb: abs(va - vb), param_box, pair_samples,
-                        separations, seed, None if grad is None else lambda p, d: grad(p))
+                        seed, None if grad is None else lambda p, d: grad(p))
 
 
-def estimate_beta(grad, param_box, pair_samples: int = 200,
-                  separations=DEFAULT_SEPARATIONS, seed: int = 0,
+def estimate_beta(grad, param_box, pair_samples: int = 200, seed: int = 0,
                   hess_vec=None) -> PairEstimate:
     """Sampled lower bound on the Lipschitz constant of the gradient.
 
-    Same pair scheme as ``estimate_lipschitz`` applied to gradient
-    differences; an optional ``hess_vec(point, direction)`` callback adds
-    sampled curvature norms to the bound.
+    Same box and pair scheme as ``estimate_lipschitz`` applied to
+    gradient differences; an optional ``hess_vec(point, direction)``
+    callback adds sampled curvature norms to the bound.
     """
     return _sampled_sup(lambda p: np.asarray(grad(p), float),
                         lambda ga, gb: float(np.linalg.norm(ga - gb)), param_box,
-                        pair_samples, separations, seed, hess_vec)
+                        pair_samples, seed, hess_vec)
 
 
 def regime_fit(lengths, estimates, contraction: float | None = None,
@@ -236,13 +224,13 @@ def regime_fit(lengths, estimates, contraction: float | None = None,
 
 
 def smoothness_report(cost_builder, grad_builder, lengths, param_box,
-                      contraction: float, pair_samples: int = 200,
-                      separations=DEFAULT_SEPARATIONS, seed: int = 0,
+                      contraction: float, pair_samples: int = 200, seed: int = 0,
                       hess_vec_builder=None) -> SmoothnessReport:
     """Sweep simulation lengths and classify the growth of both constants.
 
-    ``cost_builder(n)`` / ``grad_builder(n)`` return the cost and
-    gradient functions for a record of length n.
+    ``cost_builder(n)`` / ``grad_builder(n)`` / ``hess_vec_builder(n)``
+    return the cost, gradient and curvature product for a record of
+    length n; every length is sampled as ``estimate_lipschitz`` does.
     """
     lengths = sorted(int(n) for n in lengths)
     lips, betas = [], []
@@ -251,10 +239,8 @@ def smoothness_report(cost_builder, grad_builder, lengths, param_box,
         cost = cost_builder(n)
         grad = grad_builder(n)
         hv = hess_vec_builder(n) if hess_vec_builder is not None else None
-        le = estimate_lipschitz(cost, param_box, pair_samples, separations,
-                                seed, grad=grad)
-        be = estimate_beta(grad, param_box, pair_samples, separations,
-                           seed, hess_vec=hv)
+        le = estimate_lipschitz(cost, param_box, pair_samples, seed, grad=grad)
+        be = estimate_beta(grad, param_box, pair_samples, seed, hess_vec=hv)
         lips.append(le.value)
         betas.append(be.value)
         excluded["cost"] += le.n_excluded

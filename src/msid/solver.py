@@ -61,6 +61,7 @@ _FTOL_REL = 1e-10               # stagnation: a relative merit gain below this
 _XTOL_REL = 1e-6                # with a relative step below this,
 _STALL_PATIENCE = 10            # this many feasible iterations in a row
 _CG_EXTRA = 10                  # CG iterations beyond n - m
+_CG_TOL = 1e-10                 # CG stops at this share of max(1, first projected residual)
 
 
 @dataclass
@@ -388,8 +389,10 @@ def _stationarity(problem: NlpProblem, x: np.ndarray, g: np.ndarray):
     objective gradient is g."""
     jac = problem.jacobian(x)
     fac = factorize(jac)
-    lam = lagrange_multipliers(g, fac)
-    kkt = float(np.max(np.abs(g + jac.T @ lam), initial=0.0))
+    # a non-finite result ends the solve with status non-finite, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = lagrange_multipliers(g, fac)
+        kkt = float(np.max(np.abs(g + jac.T @ lam), initial=0.0))
     return jac, fac, lam, kkt
 
 
@@ -424,8 +427,7 @@ def vertical_step(fac, c: np.ndarray, delta: float):
 
 
 def horizontal_step(grad: np.ndarray, hess_op: Callable, fac,
-                    v: np.ndarray, delta: float, max_cg: int,
-                    tol: float = 1e-10):
+                    v: np.ndarray, delta: float, max_cg: int):
     """Projected CG for the trust-region QP, started at the vertical step.
 
     Maintains J p = J v throughout; truncates at the boundary or on
@@ -443,7 +445,7 @@ def horizontal_step(grad: np.ndarray, hess_op: Callable, fac,
     d = -z
     z0 = _norm(z)
     for _ in range(max_cg):
-        if _norm(z) <= tol * max(1.0, z0):
+        if _norm(z) <= _CG_TOL * max(1.0, z0):
             break
         hd = np.asarray(hess_op(d), float)
         with np.errstate(over="ignore"):

@@ -225,6 +225,61 @@ def test_non_finite_start_exits_4(tmp_path, capsys):
     assert (result["status"], result["iterations"], result["n_eval"]) == ("non-finite", 0, 1)
 
 
+def _edge_estimate_cfg(family, n, formulation, theta=None, **dataset):
+    cfg = {"command": "estimate", "seed": 0, "model": {"family": family},
+           "dataset": {"generator": family, "n": n, **dataset},
+           "formulation": formulation}
+    if theta is not None:
+        cfg["model"]["theta"] = theta
+    return cfg
+
+
+_ARX_GRID = [[0.4, 0.6, 2], [-0.3, -0.1, 2], [1.8, 2.2, 2]]
+
+# (config, exit code): schema-valid configs at the edges of what the
+# formulations, studies and smoothness command accept
+EDGE_CONFIGS = {
+    "single-n1": (_edge_estimate_cfg("logistic", 1, {"kind": "single"}), 0),
+    # the transient leaves no residual step, and such a gradient is NaN
+    "single-fixed-x0-n1": (_edge_estimate_cfg(
+        "logistic", 1, {"kind": "single", "optimize_x0": False}), 4),
+    "msa-horizon-past-record": (_edge_estimate_cfg(
+        "logistic", 5, {"kind": "msa", "horizon": 50}), 0),
+    "arx-single": (_edge_estimate_cfg(
+        "linear-arx", 40, {"kind": "single"}, generator="linear2nd"), 0),
+    "arx-multiple": (_edge_estimate_cfg(
+        "linear-arx", 40, {"kind": "multiple", "max_len": 4}, generator="linear2nd"), 0),
+    "arx-msa-grid": ({"command": "study", "seed": 0, "model": {"family": "linear-arx"},
+                      "dataset": {"generator": "linear2nd", "n": 40},
+                      "formulation": {"kind": "msa", "horizon": 3},
+                      "study": {"kind": "grid", "grid": _ARX_GRID}}, 0),
+    "smoothness-lengths-1-2-3": ({
+        "command": "smoothness", "seed": 0, "model": {"family": "logistic"},
+        "dataset": {"generator": "logistic"},
+        "smoothness": {"lengths": [1, 2, 3], "param_box": [[3.6, 3.9]],
+                       "pair_samples": 2}}, 0),
+    "grid-1x1-n1": ({"command": "study", "seed": 0, "model": {"family": "pendulum"},
+                     "dataset": {"generator": "pendulum", "n": 1},
+                     "formulation": {"kind": "single"},
+                     "study": {"kind": "grid", "grid": [[30.0, 30.0, 1], [2.0, 2.0, 1]]}}, 0),
+    "timing-n1": ({"command": "study", "seed": 0, "model": {"family": "logistic"},
+                   "dataset": {"generator": "logistic", "n": 1},
+                   "study": {"kind": "timing", "k_list": [1], "dm_list": [1],
+                             "reps": 1}}, 0),
+    "pendulum-theta-1e300": (_edge_estimate_cfg(
+        "pendulum", 40, {"kind": "multiple", "max_len": 8}, theta=[1e300, 1e300],
+        scenario="b"), 4),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg, code", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS)
+def test_edge_configs_end_in_a_documented_exit_code(tmp_path, cfg, code):
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 0
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == code
+
+
 def _csv_estimate_cfg(tmp_path, text):
     csv = tmp_path / "data.csv"
     csv.write_text(text)

@@ -165,7 +165,6 @@ def test_linear_arx_is_stateless():
 def test_armax_state_holds_noise_estimates():
     model = lower_to_state_space(LinearARMAX(n_a=2, n_b=1, n_c=2))
     assert model.state_dim == 2
-    assert model.n_v == 2
 
 
 def test_bad_polynomial_rejected():

@@ -85,12 +85,18 @@ def test_sensitivity_initialization():
     np.testing.assert_array_equal(roll.end_state_sens[0, :, :2], 0.0)
 
 
+def _divergence_step(roll, i):
+    """The 1-based step at which row i diverged, -1 when it did not: a
+    diverged row's valid steps end one step before it."""
+    return int(roll.valid[i].sum()) + 1 if roll.diverged[i] else -1
+
+
 def test_divergence_flags_its_step():
     model = lower_to_state_space(LogisticMap())
     ds = gen_logistic(n=60)
     roll = rollout(model, [0.5], ds, 0, 60, [5.5])
     assert roll.diverged[0]
-    assert roll.divergence_step[0] >= 1
+    assert _divergence_step(roll, 0) >= 1
 
 
 def test_batched_divergence_freezes_only_bad_rows():
@@ -100,7 +106,7 @@ def test_batched_divergence_freezes_only_bad_rows():
     roll = run_intervals(model, np.array([5.5]), np.array([[0.5], [0.0]]), plan,
                          with_sens=False)
     assert roll.diverged[0] and not roll.diverged[1]
-    assert roll.divergence_step[0] >= 1
+    assert _divergence_step(roll, 0) >= 1
     assert np.all(np.isfinite(roll.states[1]))
     assert not roll.valid[0, -1] and roll.valid[1, -1]
 
@@ -164,7 +170,7 @@ def _assert_curvature_only_matches(args, full):
     curv = run_intervals(*args, with_sens=True, outputs=False)
     assert curv.predictions is None and curv.output_sens is None
     assert curv.states.shape[:2] == full.states.shape[:2]
-    for name in ("end_states", "end_state_sens", "diverged", "divergence_step"):
+    for name in ("end_states", "end_state_sens", "diverged", "valid"):
         _assert_same(getattr(curv, name), getattr(full, name), name)
 
 
@@ -216,7 +222,7 @@ def test_run_intervals_matches_per_interval_reference(family, seed, lengths,
             model, theta, x0[i], zy, zu, starts[i], lengths[i], _STATE_LIMIT)
         good = len(states)
         assert roll.diverged[i] == (div > 0)
-        assert roll.divergence_step[i] == div
+        assert _divergence_step(roll, i) == div
         np.testing.assert_array_equal(roll.valid[i], np.arange(t_max) < good)
         last_x = states[-1] if good else x0[i]
         _assert_same(roll.states[i], _padded(states, last_x, t_max, (nx,)), "states")

@@ -42,10 +42,11 @@ def test_s_factor_rejects_bad_arguments():
 # ---------------------------------------------------------------------------
 
 def test_contraction_logistic_matches_analytic_sup():
-    # |d/dx theta*x*(1-x)| = theta*|1-2x|, sup over [0,1] is theta
+    # |d/dx theta*x*(1-x)| = theta*|1-2x|, sup over [0,1] is theta; the
+    # state Jacobian reads no regressor, so the boxes do not matter
     model = lower_to_state_space(LogisticMap())
-    est = estimate_contraction(model, np.array([3.78]), (0.0, 1.0),
-                               samples=4000, seed=3)
+    est = estimate_contraction(model, np.array([3.78]), (0.0, 1.0), (0.0, 1.0),
+                               (0.0, 0.0), samples=4000, seed=3)
     assert est == pytest.approx(3.78, rel=0.01)
     assert est <= 3.78 + 1e-12
 
@@ -53,7 +54,8 @@ def test_contraction_logistic_matches_analytic_sup():
 def test_contraction_linear_model_is_state_matrix_norm():
     model = lower_to_state_space(linear_oe_2nd())
     theta = np.array([1.5, -0.7, 1.0])
-    est = estimate_contraction(model, theta, (-1.0, 1.0), samples=50)
+    est = estimate_contraction(model, theta, (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0),
+                               samples=50)
     a_mat = np.array([[1.5, -0.7], [1.0, 0.0]])
     assert est == pytest.approx(np.linalg.norm(a_mat, 2), rel=1e-12)
 
@@ -246,6 +248,7 @@ def test_shorter_intervals_give_a_smaller_lipschitz_constant():
                                  gen_logistic(n=40), MultipleShooting(plan))
         seeds = prob.default_point()[1:]
         return estimate_lipschitz(lambda th: prob.cost(np.concatenate([th, seeds])),
-                                  (3.6, 3.9), pair_samples=40).value
+                                  (np.array([3.6]), np.array([3.9])),
+                                  pair_samples=40).value
 
     assert lipschitz(2) < lipschitz(10)

@@ -398,7 +398,7 @@ def test_accepted_steps_decrease_merit(case, start):
                     < a["V"] + mu * a["constraint_norm"])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name,start", [
     ("linear-on-circle", (0.0, -5e-324)),
     ("target-on-sphere", (-5e-324, 5e-324)),
