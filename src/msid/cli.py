@@ -236,7 +236,7 @@ def build_problem(cfg: dict, seed: int):
     _, model, theta = build_model(cfg)
     ds = build_dataset(_required(cfg, "dataset", "config"), seed)
     form = build_formulation(_required(cfg, "formulation", "config"), ds.n)
-    return EstimationProblem(model, ds, form), theta
+    return _call("config.formulation", EstimationProblem, model, ds, form), theta
 
 
 def build_solver_options(cfg: dict) -> SolverOptions:
@@ -363,7 +363,8 @@ def build_smoothness(cfg, seed):
             _check(n <= record.n, f"config.smoothness.lengths[{i}]",
                    f"{n} exceeds the {record.n} samples of {data['csv']}")
             ds = Dataset(record.u[:n], record.y[:n], record.meta)
-        problems[n] = EstimationProblem(model, ds, build_formulation(form, ds.n))
+        problems[n] = _call(f"config.smoothness.lengths[{i}]", EstimationProblem,
+                            model, ds, build_formulation(form, ds.n))
     nth = model.theta_dim
 
     def cost_builder(n):

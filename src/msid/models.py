@@ -19,7 +19,10 @@ products use ``einsum``, as BLAS ``@`` rounds a row by the batch's shape.
 across the batch, or (n_theta, B), one parameter vector per batch row
 (what a cost scan over a parameter grid passes); each row of a per-row
 call is bit-equal to the one-row call with that row's ``theta``.  The
-Jacobian evaluators take a shared ``theta`` only.
+Jacobian evaluators take a shared ``theta`` only.  The pendulum and the
+logistic map also give their state update as ``step``, written once over
+state columns, and build ``transition`` from it; a one-row rollout steps
+it on Python floats.
 
 The logistic map, the polynomial output-error models and the neural-net
 output-error model share one recursion, y[k] = f(y[k-1..k-p], u; theta),
@@ -61,6 +64,20 @@ class StateSpaceModel:
     data at the boundary times in the int array m (B,), one row of the
     (B, N_x) result per time (hold-first padded near the edges).  ``n_y``
     and ``n_u`` are the regressor's lag orders.
+
+    ``step(x, zy, zu, th)``, where a family sets it, is the state update
+    over columns: ``x[i]`` is state i, ``zy[j]`` and ``zu[j]`` regressor
+    column j and ``th[i]`` parameter i, and it returns the N_x new state
+    columns.  The columns are either (B,) arrays, from which the family's
+    ``transition`` is built, or Python floats, on which a one-row rollout
+    steps without numpy's per-call dispatch.  Both give the same bits
+    because ``step`` is elementwise: +, -, *, division by constants and
+    numpy ufuncs such as ``np.sin``, which run numpy's own loop on a float
+    too.  It uses no ``einsum``, ``matmul`` or reduction, whose rounding
+    differs from a Python sum's, no ``**`` and no division by the state or
+    theta: Python floats raise an error on ``**`` overflow and on division
+    by zero, where numpy returns inf.  Families whose update needs a
+    contraction leave ``step`` None.
     """
 
     name: str
@@ -75,6 +92,7 @@ class StateSpaceModel:
     output_jacobians: Callable
     init_state: Callable
     default_theta: np.ndarray
+    step: Callable | None = None
 
     @property
     def n_transient(self) -> int:
@@ -156,12 +174,10 @@ def linear_oe_2nd(theta=(0.5, -0.2, 2.0)) -> Polynomial:
     )
 
 
-def linear_arx(n_a: int, n_b: int, theta=None) -> Polynomial:
+def linear_arx(n_a: int, n_b: int, theta) -> Polynomial:
     """Linear ARX with y-lags 1..n_a and u-lags 1..n_b."""
     terms = tuple((("y", i),) for i in range(1, n_a + 1))
     terms += tuple((("u", j),) for j in range(1, n_b + 1))
-    if theta is None:
-        theta = (0.0,) * len(terms)
     return Polynomial(terms=terms, theta=tuple(theta), noise="arx")
 
 
@@ -210,6 +226,19 @@ def _apply_coeffs(vals, th):
     return np.einsum("bt,bt->b", vals, _theta_rows(th, vals.shape[0]))
 
 
+def _columns_transition(step, nx):
+    """The batched transition of a model whose state update is ``step``:
+    the state, the regressors and theta are passed as columns, (B,) views
+    of x and z, and theta's rows (or its scalars when shared)."""
+    def transition(x, z, th):
+        out = np.empty((x.shape[0], nx))
+        for i, col in enumerate(step(x.T, z.past_outputs.T, z.current_inputs.T, th)):
+            out[:, i] = col
+        return out
+
+    return transition
+
+
 def _first_state_output(nx, nth):
     """(output, output_jacobians) of yhat = x[0], the first of nx states,
     for a model of nth parameters: (C, F) = (e_1', 0)."""
@@ -225,16 +254,18 @@ def _first_state_output(nx, nth):
     return output, ojac
 
 
-def _output_error(name, p, n_u, theta0, f, df) -> StateSpaceModel:
+def _output_error(name, p, n_u, theta0, f, df, step=None) -> StateSpaceModel:
     """Lower y[k] = f(y[k-1..k-p], u; theta), where the y-lags are past
     *model* outputs: the state is a shift register of the last p of them,
     newest first.  ``f(x, z, th)`` returns the new output (B,);
-    ``df(x, z, th)`` returns (df/dx (B, p), df/dtheta (B, n_theta))."""
+    ``df(x, z, th)`` returns (df/dx (B, p), df/dtheta (B, n_theta)).  A
+    family whose update is elementwise passes the whole shift as ``step``
+    (see ``StateSpaceModel``) and no f."""
     nth = len(theta0)
 
     def transition(x, z, th):
         y = f(x, z, th)[:, None]
-        # no concatenate at p = 1: it costs the logistic map's per-step loops
+        # no concatenate at p = 1: it costs the per-step loops
         return y if p == 1 else np.concatenate([y, x[:, : p - 1]], axis=1)
 
     def tjac(x, z, th):
@@ -256,22 +287,24 @@ def _output_error(name, p, n_u, theta0, f, df) -> StateSpaceModel:
         name=name,
         state_dim=p, theta_dim=nth, output_dim=1,
         n_y=p, n_u=n_u,
-        transition=transition, output=output,
+        transition=transition if step is None else _columns_transition(step, p),
+        output=output,
         transition_jacobians=tjac, output_jacobians=ojac,
         init_state=init_state,
         default_theta=theta0,
+        step=step,
     )
 
 
 def _lower_logistic(fam: LogisticMap) -> StateSpaceModel:
-    def f(x, z, th):
-        x1 = x[:, 0]
-        return th[0] * x1 * (1.0 - x1)
+    def step(x, zy, zu, th):
+        x1 = x[0]
+        return (th[0] * x1 * (1.0 - x1),)
 
     def df(x, z, th):
         return th[0] * (1.0 - 2.0 * x), x * (1.0 - x)
 
-    return _output_error("logistic", 1, 0, np.array([float(fam.theta)]), f, df)
+    return _output_error("logistic", 1, 0, np.array([float(fam.theta)]), None, df, step)
 
 
 def _lower_pendulum(fam: Pendulum) -> StateSpaceModel:
@@ -280,14 +313,10 @@ def _lower_pendulum(fam: Pendulum) -> StateSpaceModel:
     d = float(fam.delta)
     mm = float(fam.mass)
 
-    def transition(x, z, th):
-        a, ka = th[0], th[1]
-        x1, x2 = x[:, 0], x[:, 1]
-        u1 = z.current_inputs[:, 1]
-        out = np.empty((x.shape[0], 2))
-        out[:, 0] = x1 + d * x2
-        out[:, 1] = -d * a * np.sin(x1) + (1.0 - d * ka / mm) * x2 + (d / mm) * u1
-        return out
+    def step(x, zy, zu, th):
+        x1, x2 = x[0], x[1]
+        return (x1 + d * x2,
+                -d * th[0] * np.sin(x1) + (1.0 - d * th[1] / mm) * x2 + (d / mm) * zu[1])
 
     def tjac(x, z, th):
         a, ka = th[0], th[1]
@@ -317,10 +346,11 @@ def _lower_pendulum(fam: Pendulum) -> StateSpaceModel:
         name="pendulum",
         state_dim=2, theta_dim=2, output_dim=1,
         n_y=0, n_u=1,
-        transition=transition, output=output,
+        transition=_columns_transition(step, 2), output=output,
         transition_jacobians=tjac, output_jacobians=ojac,
         init_state=init_state,
         default_theta=np.array([fam.g_over_l, fam.k_a], dtype=float),
+        step=step,
     )
 
 

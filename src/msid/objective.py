@@ -127,7 +127,8 @@ class EstimationProblem:
     all.  The kept steps give the residual count n_res and each
     interval's divisor, and every formulation evaluates by the same rule:
     the residuals of the kept steps that did not diverge, and their sum
-    of squares over n_res.
+    of squares over n_res.  A formulation that keeps no step (n_res = 0)
+    raises ValueError.
 
     Evaluations are cached by the point's bytes in 8 entries, the oldest
     evicted for a new point, so cost, gradient, constraints and their
@@ -174,6 +175,10 @@ class EstimationProblem:
         self._drops = bool(first.any())
         n_kept = np.maximum(lengths - first, 0)
         self._n_res = int(n_kept.sum())
+        if not self._n_res:
+            # only a fixed x0 drops steps that a record may not outlast
+            raise ValueError(f"keeps no residual: single shooting from a fixed x0 drops "
+                             f"the first {model.n_transient} steps of the {n}-sample record")
         self._divisors = np.maximum(n_kept, 1)
         # where some step is dropped, the sensitivity contractions read
         # each interval's kept steps alone, gathered to the front of a

@@ -16,7 +16,10 @@ diverges at its first in-length step whose state exceeds ``_STATE_LIMIT``
 or is NaN; from there on, and past its length, its states hold their
 last good values and its predictions and output sensitivities are zero,
 and its end values are x0 and [0 | I].  A single interval is a one-row
-call.
+call.  A one-row phase 1 of a model that sets ``step`` steps on Python
+floats, which skips numpy's dispatch on 1-element arrays and gives the
+bits of the array loop (see ``StateSpaceModel``); every other call, and
+all of phase 2, runs on arrays.
 
 The intervals are described by an ``IntervalPlan`` alone: their starts
 and lengths and everything else that depends only on the record and the
@@ -93,9 +96,13 @@ def run_intervals(model: StateSpaceModel, theta, x0, plan: IntervalPlan,
                   outputs: bool = True) -> BatchRollout:
     """Roll out B intervals in lockstep.
 
-    ``x0`` is (B, N_x), one seed per interval of ``plan``.  Diverged
-    intervals freeze in place and are flagged rather than raising, so one
-    bad interval cannot poison the batch.
+    ``x0`` is (B, N_x), one seed per interval of ``plan``, and ``theta``
+    is (n_theta,) or per-row (n_theta, B).  Diverged intervals freeze in
+    place and are flagged rather than raising, so one bad interval cannot
+    poison the batch.  With B == 1 and ``model.step`` set, phase 1 steps
+    on the ``tolist()`` values of theta, x0 and the plan's regressor rows
+    and never calls ``transition``; the states have the bits of the array
+    loop.
 
     ``trajectory`` is the ``xs`` of an earlier call with the same model,
     theta, x0 and plan; when given, the per-step state update is skipped
@@ -115,8 +122,17 @@ def run_intervals(model: StateSpaceModel, theta, x0, plan: IntervalPlan,
     # everything below is time-major, (T, B, ...)
     xs, z = trajectory, plan.window
     preds = jout = dmat = None
+    step = model.step if b == 1 else None
     with np.errstate(invalid="ignore", over="ignore"):
-        if xs is None:
+        if xs is None and step is not None:
+            # phase 1 of one row: the state update on Python floats
+            th, x = theta.ravel().tolist(), x0[0].tolist()
+            path = [x]
+            for zy_t, zu_t in zip(plan.zyt[:, 0].tolist(), plan.zut[:, 0].tolist()):
+                x = step(x, zy_t, zu_t, th)
+                path.append(x)
+            xs = np.array(path, dtype=float).reshape(t_max + 1, 1, nx)
+        elif xs is None:
             # phase 1: the state update alone
             xs = np.empty((t_max + 1, b, nx))
             xs[0] = x0

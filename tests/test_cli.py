@@ -240,9 +240,9 @@ _ARX_GRID = [[0.4, 0.6, 2], [-0.3, -0.1, 2], [1.8, 2.2, 2]]
 # formulations, studies and smoothness command accept
 EDGE_CONFIGS = {
     "single-n1": (_edge_estimate_cfg("logistic", 1, {"kind": "single"}), 0),
-    # the transient leaves no residual step, and such a gradient is NaN
+    # the transient leaves no residual step: refused when the problem is built
     "single-fixed-x0-n1": (_edge_estimate_cfg(
-        "logistic", 1, {"kind": "single", "optimize_x0": False}), 4),
+        "logistic", 1, {"kind": "single", "optimize_x0": False}), 3),
     "msa-horizon-past-record": (_edge_estimate_cfg(
         "logistic", 5, {"kind": "msa", "horizon": 50}), 0),
     "arx-single": (_edge_estimate_cfg(
@@ -276,8 +276,25 @@ EDGE_CONFIGS = {
 @pytest.mark.parametrize("cfg, code", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS)
 def test_edge_configs_end_in_a_documented_exit_code(tmp_path, cfg, code):
     path = _write(tmp_path, cfg)
-    assert main(["validate", "--config", path]) == 0
+    # validate builds what run builds, so the two agree on a refused config
+    assert main(["validate", "--config", path]) == (3 if code == 3 else 0)
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == code
+
+
+def test_a_problem_without_residuals_names_its_field(tmp_path, capsys):
+    # single shooting from a fixed x0 drops the transient, which a record
+    # of n <= n_transient samples does not outlast
+    fixed_x0 = {"kind": "single", "optimize_x0": False}
+    smoothness = json.loads((CONFIG_DIR / "linear2nd_smoothness.json").read_text())
+    smoothness["smoothness"].update(lengths=[1, 2, 3], pair_samples=2)
+    cases = ((_edge_estimate_cfg("logistic", 1, fixed_x0), "config.formulation: "),
+             (smoothness, "config.smoothness.lengths[0]: "))
+    for cfg, field in cases:
+        assert cfg["formulation"] == fixed_x0
+        path = _write(tmp_path, cfg)
+        for action in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert main([*action, "--config", path]) == 3
+            assert field + "keeps no residual" in capsys.readouterr().err
 
 
 def _csv_estimate_cfg(tmp_path, text):

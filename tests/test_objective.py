@@ -572,6 +572,11 @@ def test_batch_costs_match_cost(data):
         form = MultipleShooting(ShootingPlan(bnd))
     else:
         form = SingleShooting(optimize_x0=kind == "single-x0")
+        if kind == "single" and n <= model.n_transient:
+            # a fixed x0 drops the whole record: no residual, no problem
+            with pytest.raises(ValueError, match="keeps no residual"):
+                EstimationProblem(model, ds, form)
+            return
     prob = EstimationProblem(model, ds, form)
     if isinstance(family, LogisticMap):
         # values past 4 leave [0, 1] and diverge

@@ -1,5 +1,6 @@
 import dataclasses
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -141,13 +142,20 @@ def test_chained_intervals_equal_one_rollout(theta, split):
 
 
 def _counting_transition(model):
-    """A copy of ``model`` whose ``transition`` records the rows of each call."""
+    """A copy of ``model`` whose phase-1 callables record each call as
+    (name, rows): ``transition`` with its rows, and ``step``, where the
+    model sets it, with one row."""
     calls = []
 
     def transition(x, z, theta):
-        calls.append(len(x))
+        calls.append(("transition", len(x)))
         return model.transition(x, z, theta)
-    return dataclasses.replace(model, transition=transition), calls
+
+    def step(x, zy, zu, theta):
+        calls.append(("step", 1))
+        return model.step(x, zy, zu, theta)
+    return dataclasses.replace(model, transition=transition,
+                               step=step if model.step else None), calls
 
 
 def _assert_same(actual, expected, name):
@@ -286,3 +294,60 @@ def test_phase_two_from_trajectory_covers_edge_cases(family):
     with pytest.raises(ValueError):
         run_intervals(model, model.default_theta, x0, plan, with_sens=True,
                       trajectory=np.zeros((3, 1, model.state_dim)))
+
+
+# the families whose state update is also given as ``step``
+STEPPED_FAMILIES = [f for f in ALL_FAMILIES if lower_to_state_space(f).step is not None]
+
+
+def test_stepped_families_are_the_elementwise_ones():
+    assert {lower_to_state_space(f).name for f in STEPPED_FAMILIES} == {"logistic",
+                                                                       "pendulum"}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES,
+                         ids=lambda f: lower_to_state_space(f).name)
+def test_one_row_phase_one_calls_step_and_more_rows_call_transition(family):
+    model, calls = _counting_transition(lower_to_state_space(family))
+    ds = Dataset(np.linspace(-1.0, 1.0, 12), np.linspace(0.2, 0.4, 12), {})
+    zy, zu = regressor_matrices(model, ds)
+    x0 = np.full((2, model.state_dim), 0.3)
+    one_row = "step" if model.step else "transition"
+    run_intervals(model, model.default_theta, x0[:1],
+                  IntervalPlan.of(model, zy, zu, [0], [12]), with_sens=False)
+    assert calls == [(one_row, 1)] * 12
+    del calls[:]
+    run_intervals(model, model.default_theta, x0,
+                  IntervalPlan.of(model, zy, zu, [0, 4], [12, 8]), with_sens=False)
+    assert calls == [("transition", 2)] * 12
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(STEPPED_FAMILIES),
+       seed=st.integers(min_value=0, max_value=2**31 - 1),
+       length=st.integers(min_value=0, max_value=8),
+       theta_gain=st.one_of(st.sampled_from([1e40, 1e300, np.inf]),
+                            st.floats(min_value=0.0, max_value=1e3)),
+       x0_scale=st.floats(min_value=0.0, max_value=1e160),
+       per_row=st.booleans())
+def test_one_row_phase_one_on_floats_equals_the_array_loop(family, seed, length,
+                                                           theta_gain, x0_scale,
+                                                           per_row):
+    # the same rollout with ``step`` unset runs the array loop; the float
+    # path must give its bits, NaN and inf included, and warn of nothing
+    model = lower_to_state_space(family)
+    rng = np.random.default_rng(seed)
+    n = 12
+    ds = Dataset(rng.normal(size=n), rng.normal(size=n), {})
+    zy, zu = regressor_matrices(model, ds)
+    theta = (model.default_theta + 0.5 * rng.normal(size=model.theta_dim)) * theta_gain
+    theta = theta[:, None] if per_row else theta
+    x0 = rng.normal(size=(1, model.state_dim)) * x0_scale
+    plan = IntervalPlan.of(model, zy, zu, [int(rng.integers(0, n))], [length])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floats = run_intervals(model, theta, x0, plan, with_sens=False)
+        arrays = run_intervals(dataclasses.replace(model, step=None), theta, x0, plan,
+                               with_sens=False)
+    assert floats.xs.shape == (length + 1, 1, model.state_dim)
+    _assert_same_rollout(floats, arrays)
