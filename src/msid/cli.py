@@ -8,12 +8,14 @@ directory.
 Each command has two steps.  *Build* turns the config and seed into
 everything the command needs: the model, the datasets (CSV files are
 read here), the formulation and estimation problem, the solver options
-and the parsed study inputs.  *Execute* solves or runs the study and
-writes the outputs.  ``msid validate`` checks the config's field names
-and JSON types and then builds, without solving; ``msid run`` takes the
-same steps and then executes.  The two therefore accept the same
-configs, and a config that fails to build stops ``run`` before it
-creates any output.
+and the parsed study inputs; it reads every config field there, and
+refuses any field that the command, its study kind or its formulation
+kind does not read.  *Execute* solves or runs the study and writes the
+outputs.  ``msid validate`` checks the config's field names and JSON
+types and then builds, without solving; ``msid run`` takes the same
+steps and then executes.  The two therefore accept the same configs,
+and a config that fails to build stops ``run`` before it creates any
+output.
 
 Exit codes: 0 success, 2 missing file (the config or a CSV dataset, or
 a path to either that names a directory), 3 schema violation (message
@@ -68,6 +70,19 @@ def _given(obj: dict, *keys: str, **renamed: str) -> dict:
     key left out is not passed, so the callee owns its default."""
     names = dict(zip(keys, keys), **renamed)
     return {name: obj[key] for name, key in names.items() if key in obj}
+
+
+_MAIN = ("command", "seed", "out")     # main reads these for every command
+
+
+def _fields(obj: dict, path: str, owner: str, *keys: str, **blocks: tuple):
+    """Refuse every field of obj but keys and blocks, and every field of a
+    block but its own: the fields that owner's build step reads."""
+    for key in obj:
+        _check(key in keys or key in blocks, f"{path}.{key}",
+               f"not a field of {owner}")
+    for key, fields in blocks.items():
+        _fields(obj.get(key, {}), f"{path}.{key}", owner, *fields)
 
 
 def _call(path: str, fn, *args, **kwargs):
@@ -194,6 +209,7 @@ def build_dataset(obj: dict, seed: int) -> Dataset:
     _check(("generator" in obj) != ("csv" in obj), "config.dataset",
            "exactly one of 'generator' or 'csv' is required")
     if "csv" in obj:
+        _fields(obj, "config.dataset", "a CSV dataset", "csv")
         path = obj["csv"]
         ds = _call("config.dataset.csv", Dataset.from_csv, path)
         _check(ds.n >= 1, "config.dataset.csv", f"{path} holds no data rows")
@@ -202,18 +218,21 @@ def build_dataset(obj: dict, seed: int) -> Dataset:
     _check(name in xp.GENERATORS, "config.dataset.generator",
            f"must be one of {', '.join(xp.GENERATORS)}")
     gen = xp.GENERATORS[name]
+    _fields(obj, "config.dataset", f"generator {name!r}", "generator",
+            *inspect.signature(gen).parameters)
     kwargs = {k: v for k, v in obj.items() if k != "generator"}
-    for key in kwargs:
-        _check(key in inspect.signature(gen).parameters, f"config.dataset.{key}",
-               f"not a field of generator {name!r}")
     return _call("config.dataset", gen, seed=seed, **kwargs)
 
 
 def build_formulation(obj: dict, n: int):
     kind = _required(obj, "kind", "config.formulation")
+    owner = f"formulation kind {kind!r}"
     if kind == "single":
+        _fields(obj, "config.formulation", owner, "kind", "optimize_x0")
         return SingleShooting(**_given(obj, "optimize_x0"))
     if kind == "multiple" and "boundaries" in obj:
+        _fields(obj, "config.formulation", f"{owner} with boundaries",
+                "kind", "boundaries")
         path = "config.formulation.boundaries"
         bnd = list(obj["boundaries"])
         _check(max(bnd, default=0) <= n, path,
@@ -222,10 +241,12 @@ def build_formulation(obj: dict, n: int):
         bnd = [0] * (bnd[:1] != [0]) + bnd + [n] * (bnd[-1:] != [n])
         return MultipleShooting(_call(path, ShootingPlan, tuple(bnd)))
     if kind == "multiple":
+        _fields(obj, "config.formulation", owner, "kind", "max_len")
         max_len = _required(obj, "max_len", "config.formulation")
         return MultipleShooting(_call("config.formulation.max_len",
                                       ShootingPlan.from_max_len, n, max_len))
     if kind == "msa":
+        _fields(obj, "config.formulation", owner, "kind", "horizon")
         return _call("config.formulation.horizon", MsaPem,
                      _required(obj, "horizon", "config.formulation"))
     raise ConfigError("config.formulation.kind: must be 'single', 'multiple' or 'msa'")
@@ -308,6 +329,7 @@ def _result_payload(res) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_simulate(cfg, seed):
+    _fields(cfg, "config", "command 'simulate'", *_MAIN, "dataset")
     ds = build_dataset(_required(cfg, "dataset", "config"), seed)
 
     def execute(out_dir, trace):
@@ -317,6 +339,8 @@ def build_simulate(cfg, seed):
 
 
 def build_estimate(cfg, seed):
+    _fields(cfg, "config", "command 'estimate'", *_MAIN, "model", "dataset",
+            "formulation", "solver")
     problem, theta = build_problem(cfg, seed)
     phi0 = problem.default_point(theta)
     opts = build_solver_options(cfg)
@@ -338,6 +362,8 @@ def build_estimate(cfg, seed):
 
 
 def build_smoothness(cfg, seed):
+    _fields(cfg, "config", "command 'smoothness'", *_MAIN, "model", "dataset",
+            "formulation", "smoothness")
     sm = _required(cfg, "smoothness", "config")
     lengths = _required(sm, "lengths", "config.smoothness")
     # the growth regime is fitted to the estimates at three or more lengths
@@ -351,6 +377,8 @@ def build_smoothness(cfg, seed):
     # the estimators take the box as (lo, hi) vectors
     box = tuple(np.array(b, float) for b in zip(*pairs))
     data = _required(cfg, "dataset", "config")
+    _check("n" not in data, "config.dataset.n",
+           "not a field of command 'smoothness', whose lengths set n")
     form = cfg.get("formulation", {"kind": "single"})
     # a generator runs at each length; a CSV record is read once and its
     # first n samples serve length n
@@ -366,6 +394,8 @@ def build_smoothness(cfg, seed):
         problems[n] = _call(f"config.smoothness.lengths[{i}]", EstimationProblem,
                             model, ds, build_formulation(form, ds.n))
     nth = model.theta_dim
+    contraction_kw = _given(sm, samples="contraction_samples")
+    report_kw = _given(sm, "pair_samples")
 
     def cost_builder(n):
         prob = problems[n]
@@ -393,10 +423,10 @@ def build_smoothness(cfg, seed):
         contraction = estimate_contraction(
             model, 0.5 * (box[0] + box[1]), (y_lo, y_hi), (y_lo, y_hi),
             (float(ds_full.u.min()), float(ds_full.u.max())), seed=seed,
-            **_given(sm, samples="contraction_samples"))
+            **contraction_kw)
         report = smoothness_report(
             cost_builder, grad_builder, lengths, box, contraction, seed=seed,
-            hess_vec_builder=hess_builder, **_given(sm, "pair_samples"))
+            hess_vec_builder=hess_builder, **report_kw)
         with open(os.path.join(out_dir, "smoothness.json"), "w") as fh:
             fh.write(report.to_json())
             fh.write("\n")
@@ -404,30 +434,42 @@ def build_smoothness(cfg, seed):
     return execute
 
 
-# Each study builder takes (cfg, cfg["study"], seed, solver options) and
-# returns run(out_dir) -> ExperimentResult.
+# Each study builder takes (cfg, cfg["study"], seed) and returns
+# run(out_dir) -> ExperimentResult.
 
-def _multi_start(cfg, study, seed, opts):
-    problem, _ = build_problem(cfg, seed)
+def _guesses(study: dict, model) -> list:
     guesses = _required(study, "guesses", "config.study")
     _check(guesses, "config.study.guesses", "expected a non-empty list")
     for i, guess in enumerate(guesses):
-        _per_parameter(guess, problem.model, f"config.study.guesses[{i}]")
+        _per_parameter(guess, model, f"config.study.guesses[{i}]")
+    return guesses
+
+
+def _multi_start(cfg, study, seed):
+    _fields(cfg, "config", "study kind 'multi-start'", *_MAIN, "model", "dataset",
+            "formulation", "solver", study=("kind", "guesses", "target", "tol"))
+    problem, _ = build_problem(cfg, seed)
+    guesses = _guesses(study, problem.model)
     target = study.get("target")
     if target is not None:
         _per_parameter(target, problem.model, "config.study.target")
+    opts, kwargs = build_solver_options(cfg), _given(study, "tol")
     return lambda out_dir: xp.multi_start_study(
-        problem, guesses, opts, target=target, **_given(study, "tol"))
+        problem, guesses, opts, target=target, **kwargs)
 
 
-def _monte_carlo(cfg, study, seed, opts):
-    mc = _call("config.study", xp.MonteCarloConfig, seed=seed, solver=opts,
-               **_given(study, "generator", "setting", "n_realizations",
-                        "methods", "noise_std"))
+def _monte_carlo(cfg, study, seed):
+    keys = ("generator", "setting", "n_realizations", "methods", "noise_std")
+    _fields(cfg, "config", "study kind 'monte-carlo'", *_MAIN, "solver",
+            study=("kind", *keys))
+    mc = _call("config.study", xp.MonteCarloConfig, seed=seed,
+               solver=build_solver_options(cfg), **_given(study, *keys))
     return lambda out_dir: xp.monte_carlo_study(mc)
 
 
-def _grid(cfg, study, seed, opts):
+def _grid(cfg, study, seed):
+    _fields(cfg, "config", "study kind 'grid'", *_MAIN, "model", "dataset",
+            "formulation", study=("kind", "grid", "fixed_seeds"))
     problem, _ = build_problem(cfg, seed)
     spec = _per_parameter(_required(study, "grid", "config.study"), problem.model,
                           "config.study.grid", "axes")
@@ -446,7 +488,9 @@ def _grid(cfg, study, seed, opts):
     return run
 
 
-def _timing(cfg, study, seed, opts):
+def _timing(cfg, study, seed):
+    _fields(cfg, "config", "study kind 'timing'", *_MAIN, "model", "dataset",
+            study=("kind", "k_list", "dm_list", "reps"))
     family, _, _ = build_model(cfg)
     ds = build_dataset(_required(cfg, "dataset", "config"), seed)
     k_list, dm_list = study.get("k_list", []), study.get("dm_list", [])
@@ -455,10 +499,11 @@ def _timing(cfg, study, seed, opts):
         _call(f"config.study.k_list[{i}]", MsaPem, k)
     for i, dm in enumerate(dm_list):
         _call(f"config.study.dm_list[{i}]", ShootingPlan.from_max_len, ds.n, dm)
+    kwargs = _given(study, "reps")
 
     def run(out_dir):
         result = xp.timing_study(family, ds, k_list=k_list, dm_list=dm_list,
-                                 **_given(study, "reps"))
+                                 **kwargs)
         # the measured times go to their own file; result.json drops them
         write_json(os.path.join(out_dir, "timing.json"),
                    dataclasses.asdict(result), deterministic=False)
@@ -466,17 +511,25 @@ def _timing(cfg, study, seed, opts):
     return run
 
 
-def _incremental(cfg, study, seed, opts):
-    _, model, theta = build_model(cfg)
+def _incremental(cfg, study, seed):
+    _fields(cfg, "config", "study kind 'incremental'", *_MAIN, "model", "dataset",
+            "solver", study=("kind", "guesses", "tol", "k_max"))
+    _, model, _ = build_model(cfg)
     ds = build_dataset(_required(cfg, "dataset", "config"), seed)
+    guesses = _guesses(study, model)
     k_max = _required(study, "k_max", "config.study")
+    opts, kwargs = build_solver_options(cfg), _given(study, "tol")
 
     def run(out_dir):
-        schedule = incremental_k_schedule(model, ds, theta, k_max, opts)
+        schedules = [incremental_k_schedule(model, ds, guess, k_max, opts, **kwargs)
+                     for guess in guesses]
         return xp.ExperimentResult(
             config={"study": "incremental", "k_max": k_max},
-            records=[{"horizon": k, **_result_payload(r)} for k, r in schedule],
-            summaries={"theta": schedule[-1][1].point[: model.theta_dim].tolist()})
+            records=[{"guess": guess, "horizon": k, **_result_payload(r)}
+                     for guess, schedule in zip(guesses, schedules)
+                     for k, r in schedule],
+            summaries={"theta": [schedule[-1][1].point[: model.theta_dim].tolist()
+                                 for schedule in schedules]})
     return run
 
 
@@ -489,7 +542,7 @@ def build_study(cfg, seed):
     kind = _required(study, "kind", "config.study")
     _check(kind in STUDIES, "config.study.kind",
            f"must be one of {', '.join(STUDIES)}")
-    run = STUDIES[kind](cfg, study, seed, build_solver_options(cfg))
+    run = STUDIES[kind](cfg, study, seed)
 
     def execute(out_dir, trace):
         write_json(os.path.join(out_dir, "result.json"),

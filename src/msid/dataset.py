@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .simulate import _STATE_LIMIT
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -27,8 +29,10 @@ class Dataset:
             raise ValueError("u and y must be one-dimensional")
         if u.shape[0] != y.shape[0]:
             raise ValueError(f"length mismatch: len(u)={u.shape[0]}, len(y)={y.shape[0]}")
-        if u.size and not (np.isfinite(u).all() and np.isfinite(y).all()):
-            raise ValueError("dataset entries must be finite")
+        # no prediction can reach a sample beyond the rollout's divergence limit
+        if not (np.abs(np.concatenate([u, y])) <= _STATE_LIMIT).all():
+            raise ValueError(f"dataset entries must be finite and at most "
+                             f"{_STATE_LIMIT:g} in magnitude")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
 

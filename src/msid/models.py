@@ -226,15 +226,12 @@ def _apply_coeffs(vals, th):
     return np.einsum("bt,bt->b", vals, _theta_rows(th, vals.shape[0]))
 
 
-def _columns_transition(step, nx):
+def _columns_transition(step):
     """The batched transition of a model whose state update is ``step``:
     the state, the regressors and theta are passed as columns, (B,) views
     of x and z, and theta's rows (or its scalars when shared)."""
     def transition(x, z, th):
-        out = np.empty((x.shape[0], nx))
-        for i, col in enumerate(step(x.T, z.past_outputs.T, z.current_inputs.T, th)):
-            out[:, i] = col
-        return out
+        return np.array(step(x.T, z.past_outputs.T, z.current_inputs.T, th)).T
 
     return transition
 
@@ -287,7 +284,7 @@ def _output_error(name, p, n_u, theta0, f, df, step=None) -> StateSpaceModel:
         name=name,
         state_dim=p, theta_dim=nth, output_dim=1,
         n_y=p, n_u=n_u,
-        transition=transition if step is None else _columns_transition(step, p),
+        transition=transition if step is None else _columns_transition(step),
         output=output,
         transition_jacobians=tjac, output_jacobians=ojac,
         init_state=init_state,
@@ -346,7 +343,7 @@ def _lower_pendulum(fam: Pendulum) -> StateSpaceModel:
         name="pendulum",
         state_dim=2, theta_dim=2, output_dim=1,
         n_y=0, n_u=1,
-        transition=_columns_transition(step, 2), output=output,
+        transition=_columns_transition(step), output=output,
         transition_jacobians=tjac, output_jacobians=ojac,
         init_state=init_state,
         default_theta=np.array([fam.g_over_l, fam.k_a], dtype=float),

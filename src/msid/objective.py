@@ -300,14 +300,15 @@ class EstimationProblem:
         x0s = np.broadcast_to(x0s[:, None, :], (len(starts), g, model.state_dim))
         resets = dict(zip(starts.tolist(), x0s))
         acc = np.zeros(g)
-        peak = np.zeros((g, model.state_dim))
+        # the largest |x| so far, in the layout of the states it meets
+        peak = np.zeros((1, 1))
         x = None
         with np.errstate(invalid="ignore", over="ignore"):
             for k in range(n):
                 x = resets.get(k, x)
                 z = RegressorWindow(zy[k], zu[k])
                 x = model.transition(x, z, th)
-                np.maximum(peak, np.abs(x), out=peak)   # NaN sticks
+                peak = np.maximum(peak, np.abs(x))      # NaN sticks
                 if kept[k]:
                     acc += (y[k] - model.output(x, z, th)[:, 0]) ** 2
         costs = acc / max(self._n_res, 1)

@@ -1,10 +1,10 @@
 """End-to-end acceptance checks.
 
 Each test covers one numbered claim about the toolkit, prints a single
-PASS/FAIL line for it and then asserts.  Criteria 4-9 run the bundled
+PASS/FAIL line for it and then asserts.  Criteria 4-10 run the bundled
 studies in ``configs/`` through ``msid run``, changing at most the
-formulation or pendulum scenario they sweep, and read the files it
-writes.
+formulation or pendulum scenario they sweep (criterion 10 also runs its
+starts as a multi-start study), and read the files it writes.
 """
 import json
 import pathlib
@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from msid import (EstimationProblem, MsaPem, MultipleShooting, ShootingPlan,
-                  SingleShooting, SolverOptions, as_nlp, gen_farina,
-                  incremental_k_schedule, solve)
+                  SingleShooting, SolverOptions, solve)
 from msid.cli import main
-from msid.experiments import FARINA_TRUE, PENDULUM_TRUE, study_options
+from msid.experiments import FARINA_TRUE, PENDULUM_TRUE
 from msid.models import (LogisticMap, NeuralNetOE, Pendulum, farina_polynomial,
                          linear_oe_2nd, lower_to_state_space)
 from msid.smoothness import SmoothnessReport
@@ -276,22 +275,17 @@ def test_criterion_09_horizon_cost_scaling(tmp_path):
             f"cost time flat within {100 * s['ms_spread']:.0f}%")
 
 
-def test_criterion_10_incremental_horizon_refinement():
-    model = lower_to_state_space(farina_polynomial())
+def test_criterion_10_incremental_horizon_refinement(tmp_path):
+    # the one-shot solves share the study's starts, data and solver options
     true = np.asarray(FARINA_TRUE)
-    opts = study_options()
-    ds = gen_farina(seed=0)
-    prob = EstimationProblem(model, ds, MsaPem(30))
-    inc, direct = [], []
-    for a in (-1.0, 0.0, 1.0):
-        for b in (-1.5, -0.5, 0.5, 1.5):
-            guess = np.array([a, b])
-            sched = incremental_k_schedule(model, ds, guess, 30, opts, tol=0.0)
-            inc.append(float(np.linalg.norm(sched[-1][1].point[:2] - true)))
-            res = solve(as_nlp(prob), prob.default_point(guess), opts)
-            direct.append(float(np.linalg.norm(res.point[:2] - true)))
-    med_inc = np.median(inc)
-    med_dir = np.median(direct)
+    cfg = _config("farina_incremental.json")
+    inc = json.loads(_run(tmp_path, cfg, "incremental"))["summaries"]["theta"]
+    study = cfg["study"]
+    cfg["formulation"] = {"kind": "msa", "horizon": study["k_max"]}
+    cfg["study"] = {"kind": "multi-start", "guesses": study["guesses"]}
+    direct = [r["theta"] for r in json.loads(_run(tmp_path, cfg, "direct"))["records"]]
+    med_inc, med_dir = (np.median([float(np.linalg.norm(np.asarray(theta) - true))
+                                   for theta in thetas]) for thetas in (inc, direct))
     ok = med_inc <= med_dir
     _report(10, ok, f"growing-horizon refinement median distance "
             f"{med_inc:.6f} <= one-shot horizon-30 median {med_dir:.6f}")

@@ -3,8 +3,10 @@ import pathlib
 
 import pytest
 
+from msid import incremental_k_schedule
 from msid.cli import main
-from msid.experiments import gen_logistic
+from msid.experiments import gen_farina, gen_logistic, study_options
+from msid.models import farina_polynomial, lower_to_state_space
 from msid.smoothness import SmoothnessReport
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -305,6 +307,43 @@ def _csv_estimate_cfg(tmp_path, text):
     return _write(tmp_path, cfg)
 
 
+def test_csv_dataset_takes_csv_alone(tmp_path, capsys):
+    csv = tmp_path / "logistic.csv"
+    gen_logistic(n=60).to_csv(csv)
+    cfg = _estimate_cfg()
+    cfg["dataset"] = {"csv": str(csv), "n": 10}
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", path]) == 3
+    assert main(["run", "--config", path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.count(
+        "config.dataset.n: not a field of a CSV dataset") == 2
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sample", [1e151, 1e200, 1e308])
+def test_csv_sample_beyond_the_divergence_limit_exits_3(tmp_path, capsys, sample):
+    # no prediction can reach such a sample; its squared residual overflowed
+    record = gen_logistic(n=40)
+    y = record.y.copy()
+    y[20] = sample
+    csv = tmp_path / "logistic.csv"
+    csv.write_text("k,u,y\n" + "".join(
+        f"{j + 1},{float(record.u[j])!r},{float(y[j])!r}\n" for j in range(40)))
+    estimate = _estimate_cfg()
+    estimate["dataset"] = {"csv": str(csv)}
+    smoothness = _smoothness_cfg("logistic", {"csv": str(csv)}, [[3.6, 3.9]])
+    for cfg in (estimate, smoothness):
+        path = _write(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", path]) == 3
+        assert main(["run", "--config", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.count(
+            "config.dataset.csv: dataset entries must be finite and at most") == 2
+        assert not out.exists()
+
+
 def test_header_only_csv_exits_3(tmp_path, capsys):
     path = _csv_estimate_cfg(tmp_path, "k,u,y\n")
     assert main(["validate", "--config", path]) == 3
@@ -378,7 +417,57 @@ BUILD_FAILURES = {
                   "config.dataset.n: expected an integer"),
     "max-iter": ("logistic_estimate_ms2", "solver.max_iter", 2.5, 3,
                  "config.solver.max_iter: expected an integer"),
+    # a plan given by boundaries has no max_len
+    "boundaries-max-len": ("logistic_estimate_ms2", "formulation.boundaries", [0, 100], 3,
+                           "config.formulation.max_len: not a field of formulation "
+                           "kind 'multiple' with boundaries"),
 }
+
+# (bundled config, field, value, owner): fields of the schema that the
+# command, study kind or formulation kind named by owner does not read
+UNREAD_FIELDS = {
+    "incremental-formulation": ("farina_incremental", "formulation",
+                                {"kind": "msa", "horizon": 30}, "study kind 'incremental'"),
+    "timing-formulation": ("msa_timing", "formulation", {"kind": "single"},
+                           "study kind 'timing'"),
+    "timing-solver": ("msa_timing", "solver", {"max_iter": 5}, "study kind 'timing'"),
+    "timing-guesses": ("msa_timing", "study.guesses", [[0.0, 0.0]], "study kind 'timing'"),
+    "monte-carlo-model": ("linear2nd_montecarlo", "model", {"family": "linear-oe-2nd"},
+                          "study kind 'monte-carlo'"),
+    "monte-carlo-dataset": ("linear2nd_montecarlo", "dataset", {"generator": "linear2nd"},
+                            "study kind 'monte-carlo'"),
+    "monte-carlo-formulation": ("linear2nd_montecarlo", "formulation", {"kind": "single"},
+                                "study kind 'monte-carlo'"),
+    "grid-solver": ("pendulum_grid", "solver", {"max_iter": 5}, "study kind 'grid'"),
+    "grid-reps": ("pendulum_grid", "study.reps", 3, "study kind 'grid'"),
+    "grid-k-max": ("pendulum_grid", "study.k_max", 30, "study kind 'grid'"),
+    "grid-tol": ("pendulum_grid", "study.tol", 0.1, "study kind 'grid'"),
+    "multi-start-k-max": ("logistic_multistart", "study.k_max", 30,
+                          "study kind 'multi-start'"),
+    "multi-start-reps": ("logistic_multistart", "study.reps", 3, "study kind 'multi-start'"),
+    "multi-start-realizations": ("logistic_multistart", "study.n_realizations", 5,
+                                 "study kind 'multi-start'"),
+    "smoothness-solver": ("logistic_smoothness", "solver", {"max_iter": 5},
+                          "command 'smoothness'"),
+    "smoothness-study": ("logistic_smoothness", "study", {"kind": "grid"},
+                         "command 'smoothness'"),
+    # the smoothness lengths set n
+    "smoothness-dataset-n": ("logistic_smoothness", "dataset.n", 40, "command 'smoothness'"),
+    "simulate-model": ("logistic_simulate", "model", {"family": "logistic"},
+                       "command 'simulate'"),
+    "simulate-formulation": ("logistic_simulate", "formulation", {"kind": "single"},
+                             "command 'simulate'"),
+    "simulate-solver": ("logistic_simulate", "solver", {"max_iter": 5}, "command 'simulate'"),
+    "simulate-smoothness": ("logistic_simulate", "smoothness", {"lengths": [10, 20, 40]},
+                            "command 'simulate'"),
+    "multiple-horizon": ("logistic_estimate_ms2", "formulation.horizon", 5,
+                         "formulation kind 'multiple'"),
+    "single-max-len": ("logistic_smoothness", "formulation.max_len", 2,
+                       "formulation kind 'single'"),
+}
+BUILD_FAILURES.update(
+    (name, (cfg, field, value, 3, f"config.{field}: not a field of {owner}"))
+    for name, (cfg, field, value, owner) in UNREAD_FIELDS.items())
 
 
 @pytest.mark.parametrize("name, field, value, code, message",
@@ -460,6 +549,43 @@ def test_timing_study_result_is_deterministic(tmp_path):
                         ("multiple-shooting", 2), ("multiple-shooting", 4)]
     assert all(r["time_per_eval"] > 0 for r in timing["records"])
     assert set(timing["summaries"]) == {"msa_slope", "msa_r2", "ms_spread"}
+
+
+def _incremental_cfg(guesses, tol):
+    return {"command": "study", "seed": 0, "model": {"family": "farina"},
+            "dataset": {"generator": "farina", "n": 60},
+            "study": {"kind": "incremental", "guesses": guesses, "tol": tol,
+                      "k_max": 4},
+            "solver": {"delta0": 0.1, "max_iter": 1000,
+                       "mu0": 1e-3, "penalty_margin": 1e-4}}
+
+
+def test_incremental_study_runs_one_schedule_per_guess(tmp_path):
+    guesses = [[0.0, 0.0], [1.0, -0.5]]
+    path = _write(tmp_path, _incremental_cfg(guesses, 0.0))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    result = json.loads((tmp_path / "out" / "result.json").read_text())
+    model = lower_to_state_space(farina_polynomial())
+    expected, thetas = [], []
+    for guess in guesses:
+        schedule = incremental_k_schedule(model, gen_farina(n=60), guess, 4,
+                                          study_options(), tol=0.0)
+        assert [k for k, _ in schedule] == [1, 2, 3, 4]
+        expected += [{"guess": guess, "horizon": k, "point": r.point.tolist(),
+                      "multipliers": r.multipliers.tolist(), "status": r.status,
+                      "cost": r.cost, "kkt_residual": r.kkt_residual,
+                      "constraint_violation": r.constraint_violation,
+                      "iterations": r.iterations, "n_eval": r.n_eval}
+                     for k, r in schedule]
+        thetas.append(schedule[-1][1].point[:2].tolist())
+    assert result["records"] == expected
+    assert result["summaries"] == {"theta": thetas}
+    # a tolerance no step undercuts stops each schedule at its second horizon
+    path = _write(tmp_path, _incremental_cfg(guesses, 1e9), "early.json")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "early")]) == 0
+    early = json.loads((tmp_path / "early" / "result.json").read_text())["records"]
+    assert [(r["guess"], r["horizon"]) for r in early] == [
+        (guess, k) for guess in guesses for k in (1, 2)]
 
 
 def _smoothness_cfg(family, dataset, param_box):

@@ -22,6 +22,14 @@ def test_non_finite_rejected():
         Dataset(np.array([np.nan]), np.array([0.0]), {})
 
 
+@pytest.mark.parametrize("u, y", [(1e151, 0.0), (0.0, -1e151), (0.0, np.inf)])
+def test_entries_beyond_the_divergence_limit_rejected(u, y):
+    # a rollout flags every state past 1e150 as diverged
+    with pytest.raises(ValueError, match="at most 1e"):
+        Dataset(np.array([u]), np.array([y]), {})
+    assert Dataset(np.array([1e150]), np.array([-1e150]), {}).n == 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=1, max_value=40),
        seed=st.integers(min_value=0, max_value=2 ** 31))
