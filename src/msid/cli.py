@@ -196,7 +196,8 @@ def _per_parameter(items: list, model, path: str, what: str = "values") -> list:
 
 
 def build_model(cfg: dict):
-    """(family, state-space model, config.model.theta or the model's default)."""
+    """(family, state-space model, config.model.theta or the model's default);
+    only an estimate (its start) and a timing study accept model.theta."""
     obj = _required(cfg, "model", "config")
     family = build_model_family(obj)
     model = _call("config.model.theta", lower_to_state_space, family)
@@ -362,8 +363,8 @@ def build_estimate(cfg, seed):
 
 
 def build_smoothness(cfg, seed):
-    _fields(cfg, "config", "command 'smoothness'", *_MAIN, "model", "dataset",
-            "formulation", "smoothness")
+    _fields(cfg, "config", "command 'smoothness'", *_MAIN, "dataset",
+            "formulation", "smoothness", model=("family",))
     sm = _required(cfg, "smoothness", "config")
     lengths = _required(sm, "lengths", "config.smoothness")
     # the growth regime is fitted to the estimates at three or more lengths
@@ -446,8 +447,8 @@ def _guesses(study: dict, model) -> list:
 
 
 def _multi_start(cfg, study, seed):
-    _fields(cfg, "config", "study kind 'multi-start'", *_MAIN, "model", "dataset",
-            "formulation", "solver", study=("kind", "guesses", "target", "tol"))
+    _fields(cfg, "config", "study kind 'multi-start'", *_MAIN, "dataset", "formulation",
+            "solver", model=("family",), study=("kind", "guesses", "target", "tol"))
     problem, _ = build_problem(cfg, seed)
     guesses = _guesses(study, problem.model)
     target = study.get("target")
@@ -468,8 +469,8 @@ def _monte_carlo(cfg, study, seed):
 
 
 def _grid(cfg, study, seed):
-    _fields(cfg, "config", "study kind 'grid'", *_MAIN, "model", "dataset",
-            "formulation", study=("kind", "grid", "fixed_seeds"))
+    _fields(cfg, "config", "study kind 'grid'", *_MAIN, "dataset",
+            "formulation", model=("family",), study=("kind", "grid", "fixed_seeds"))
     problem, _ = build_problem(cfg, seed)
     spec = _per_parameter(_required(study, "grid", "config.study"), problem.model,
                           "config.study.grid", "axes")
@@ -512,8 +513,8 @@ def _timing(cfg, study, seed):
 
 
 def _incremental(cfg, study, seed):
-    _fields(cfg, "config", "study kind 'incremental'", *_MAIN, "model", "dataset",
-            "solver", study=("kind", "guesses", "tol", "k_max"))
+    _fields(cfg, "config", "study kind 'incremental'", *_MAIN, "dataset",
+            "solver", model=("family",), study=("kind", "guesses", "tol", "k_max"))
     _, model, _ = build_model(cfg)
     ds = build_dataset(_required(cfg, "dataset", "config"), seed)
     guesses = _guesses(study, model)

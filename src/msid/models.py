@@ -21,8 +21,8 @@ across the batch, or (n_theta, B), one parameter vector per batch row
 call is bit-equal to the one-row call with that row's ``theta``.  The
 Jacobian evaluators take a shared ``theta`` only.  The pendulum and the
 logistic map also give their state update as ``step``, written once over
-state columns, and build ``transition`` from it; a one-row rollout steps
-it on Python floats.
+state columns, and build ``transition`` from it; a rollout steps it
+directly, on Python floats for one row and on (B,) columns for more.
 
 The logistic map, the polynomial output-error models and the neural-net
 output-error model share one recursion, y[k] = f(y[k-1..k-p], u; theta),
@@ -69,8 +69,8 @@ class StateSpaceModel:
     over columns: ``x[i]`` is state i, ``zy[j]`` and ``zu[j]`` regressor
     column j and ``th[i]`` parameter i, and it returns the N_x new state
     columns.  The columns are either (B,) arrays, from which the family's
-    ``transition`` is built, or Python floats, on which a one-row rollout
-    steps without numpy's per-call dispatch.  Both give the same bits
+    ``transition`` is built and on which rollouts of more rows step, or
+    Python floats, on which a one-row rollout steps.  Both give the same bits
     because ``step`` is elementwise: +, -, *, division by constants and
     numpy ufuncs such as ``np.sin``, which run numpy's own loop on a float
     too.  It uses no ``einsum``, ``matmul`` or reduction, whose rounding

@@ -15,11 +15,13 @@ entering step k and C_k, F_k at the state leaving it.  An interval
 diverges at its first in-length step whose state exceeds ``_STATE_LIMIT``
 or is NaN; from there on, and past its length, its states hold their
 last good values and its predictions and output sensitivities are zero,
-and its end values are x0 and [0 | I].  A single interval is a one-row
-call.  A one-row phase 1 of a model that sets ``step`` steps on Python
-floats, which skips numpy's dispatch on 1-element arrays and gives the
-bits of the array loop (see ``StateSpaceModel``); every other call, and
-all of phase 2, runs on arrays.
+and its end values are x0 and [0 | I]; one reduction over all states
+clears a rollout with none beyond the limit, and only otherwise is each
+step of each interval tested.  A single interval is a one-row call.
+Phase 1 of a model that sets ``step`` steps it at any batch size, on
+Python floats for one row and on (B,) state columns for more, with the
+bits of the ``transition`` loop that phase 1 of any other model runs
+(see ``StateSpaceModel``); all of phase 2 runs on arrays.
 
 The intervals are described by an ``IntervalPlan`` alone: their starts
 and lengths and everything else that depends only on the record and the
@@ -99,10 +101,10 @@ def run_intervals(model: StateSpaceModel, theta, x0, plan: IntervalPlan,
     ``x0`` is (B, N_x), one seed per interval of ``plan``, and ``theta``
     is (n_theta,) or per-row (n_theta, B).  Diverged intervals freeze in
     place and are flagged rather than raising, so one bad interval cannot
-    poison the batch.  With B == 1 and ``model.step`` set, phase 1 steps
-    on the ``tolist()`` values of theta, x0 and the plan's regressor rows
-    and never calls ``transition``; the states have the bits of the array
-    loop.
+    poison the batch.  With ``model.step`` set, phase 1 steps it on the
+    ``tolist()`` values of theta, x0 and the plan's regressor rows when
+    B == 1, else on (B,) column views of x0 and the rows and on theta as
+    ``transition`` gets it; it never calls ``transition`` and has its bits.
 
     ``trajectory`` is the ``xs`` of an earlier call with the same model,
     theta, x0 and plan; when given, the per-step state update is skipped
@@ -122,16 +124,21 @@ def run_intervals(model: StateSpaceModel, theta, x0, plan: IntervalPlan,
     # everything below is time-major, (T, B, ...)
     xs, z = trajectory, plan.window
     preds = jout = dmat = None
-    step = model.step if b == 1 else None
     with np.errstate(invalid="ignore", over="ignore"):
-        if xs is None and step is not None:
-            # phase 1 of one row: the state update on Python floats
-            th, x = theta.ravel().tolist(), x0[0].tolist()
-            path = [x]
-            for zy_t, zu_t in zip(plan.zyt[:, 0].tolist(), plan.zut[:, 0].tolist()):
+        if xs is None and model.step is not None:
+            # phase 1 on state columns, floats for one row, stacked once
+            if b == 1:
+                th, x = theta.ravel().tolist(), x0[0].tolist()
+                zys, zus = plan.zyt[:, 0].tolist(), plan.zut[:, 0].tolist()
+            else:
+                th, x = theta, tuple(x0.T)
+                zys, zus = plan.zyt.transpose(0, 2, 1), plan.zut.transpose(0, 2, 1)
+            flat, step = list(x), model.step
+            for zy_t, zu_t in zip(zys, zus):
                 x = step(x, zy_t, zu_t, th)
-                path.append(x)
-            xs = np.array(path, dtype=float).reshape(t_max + 1, 1, nx)
+                flat.extend(x)
+            xs = np.ascontiguousarray(
+                np.array(flat, dtype=float).reshape(t_max + 1, nx, b).transpose(0, 2, 1))
         elif xs is None:
             # phase 1: the state update alone
             xs = np.empty((t_max + 1, b, nx))
@@ -146,24 +153,28 @@ def run_intervals(model: StateSpaceModel, theta, x0, plan: IntervalPlan,
             preds = model.output(x_out, z, theta).reshape(t_max, b, nout)
         if with_sens:
             a_mat, b_mat = model.transition_jacobians(xs[:-1].reshape(rows, nx), z, theta)
-            a_mat = a_mat.reshape(t_max, b, nx, nx)
-            b_mat = b_mat.reshape(t_max, b, nx, nth)
             dmat = np.empty((t_max + 1, b, nx, nc))
             dmat[0] = plan.d0
+            # one row steps 2-D operands: the same product, less dispatch
+            d = dmat[:, 0] if b == 1 else dmat
+            lead, matmul, add = (t_max,) + d.shape[1:-1], np.matmul, np.add
             for a_t, b_t, d_prev, d_next, d_theta in zip(
-                    a_mat, b_mat, dmat[:-1], dmat[1:], dmat[1:, :, :, :nth]):
-                np.matmul(a_t, d_prev, out=d_next)
-                d_theta += b_t
+                    a_mat.reshape(lead + (nx,)), b_mat.reshape(lead + (nth,)),
+                    d[:-1], d[1:], d[1:, ..., :nth]):
+                matmul(a_t, d_prev, d_next)
+                add(d_theta, b_t, d_theta)
         if with_sens and outputs:
             c_mat, f_mat = model.output_jacobians(x_out, z, theta)
             jout = c_mat @ dmat[1:].reshape(rows, nx, nc)
             jout[:, :, :nth] += f_mat
             jout = jout.reshape(t_max, b, nout, nc)
-        bad = ~(np.abs(xs[1:]).max(axis=2, initial=0.0) <= _STATE_LIMIT)
+        # False on NaN: one reduction clears the common case
+        bounded = np.abs(xs[1:]).max(initial=0.0) <= _STATE_LIMIT
+        bad = np.zeros_like(plan.in_length) if bounded else plan.in_length & ~(
+            np.abs(xs[1:]).max(axis=2, initial=0.0) <= _STATE_LIMIT)
 
-    bad &= plan.in_length               # only in-length steps can diverge
     states = xs[1:]
-    if not bad.any() and plan.full:
+    if bounded and plan.full:
         # no interval diverged or ended early: nothing to hold or zero
         diverged = np.zeros(b, dtype=bool)
         valid = np.ones((b, t_max), dtype=bool)

@@ -432,7 +432,7 @@ def horizontal_step(grad: np.ndarray, hess_op: Callable, fac,
 
     Maintains J p = J v throughout; truncates at the boundary or on
     negative curvature, and stops with the current p when a curvature
-    d'Hd overflows to +inf.  Returns (p, Hp).
+    d'Hd overflows to +inf or (Hd free of NaN) inf - inf.  Returns (p, Hp).
     """
     n = v.size
     p = v.copy()
@@ -448,10 +448,11 @@ def horizontal_step(grad: np.ndarray, hess_op: Callable, fac,
         if _norm(z) <= _CG_TOL * max(1.0, z0):
             break
         hd = np.asarray(hess_op(d), float)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             dhd = float(d @ hd)
-        if dhd == np.inf:
-            # the curvature overflowed: no step along d can be sized
+        if dhd == np.inf or (np.isnan(dhd) and not np.isnan(hd).any()):
+            # the curvature overflowed, to +inf or to inf - inf: no step
+            # along d can be sized (a NaN in Hd itself makes a NaN step)
             break
         if dhd <= 1e-14 * float(d @ d):
             alpha = _to_boundary(p, d, delta)

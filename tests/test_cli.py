@@ -271,12 +271,34 @@ EDGE_CONFIGS = {
     "pendulum-theta-1e300": (_edge_estimate_cfg(
         "pendulum", 40, {"kind": "multiple", "max_len": 8}, theta=[1e300, 1e300],
         scenario="b"), 4),
+    # CG stops on a curvature of inf - inf, without a warning, and the
+    # solve ends "step-too-small", which exits 0
+    "logistic-csv-y10-1e140": ({
+        **json.loads((CONFIG_DIR / "logistic_estimate_ms2.json").read_text()),
+        "dataset": {"csv": "logistic-y10-1e140.csv"}}, 0),
 }
+
+# the records that edge configs read, by file name: (sample index, value)
+# written into a 40-sample logistic record
+EDGE_CSVS = {"logistic-y10-1e140.csv": (10, 1e140)}
+
+
+def _logistic_csv(path, index, sample, n=40):
+    """A logistic record of n samples whose y[index] is sample."""
+    record = gen_logistic(n=n)
+    y = record.y.copy()
+    y[index] = sample
+    path.write_text("k,u,y\n" + "".join(
+        f"{j + 1},{float(record.u[j])!r},{float(y[j])!r}\n" for j in range(n)))
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("cfg, code", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS)
-def test_edge_configs_end_in_a_documented_exit_code(tmp_path, cfg, code):
+def test_edge_configs_end_in_a_documented_exit_code(tmp_path, monkeypatch, cfg, code):
+    monkeypatch.chdir(tmp_path)
+    csv = cfg["dataset"].get("csv")
+    if csv:
+        _logistic_csv(tmp_path / csv, *EDGE_CSVS[csv])
     path = _write(tmp_path, cfg)
     # validate builds what run builds, so the two agree on a refused config
     assert main(["validate", "--config", path]) == (3 if code == 3 else 0)
@@ -325,12 +347,8 @@ def test_csv_dataset_takes_csv_alone(tmp_path, capsys):
 @pytest.mark.parametrize("sample", [1e151, 1e200, 1e308])
 def test_csv_sample_beyond_the_divergence_limit_exits_3(tmp_path, capsys, sample):
     # no prediction can reach such a sample; its squared residual overflowed
-    record = gen_logistic(n=40)
-    y = record.y.copy()
-    y[20] = sample
     csv = tmp_path / "logistic.csv"
-    csv.write_text("k,u,y\n" + "".join(
-        f"{j + 1},{float(record.u[j])!r},{float(y[j])!r}\n" for j in range(40)))
+    _logistic_csv(csv, 20, sample)
     estimate = _estimate_cfg()
     estimate["dataset"] = {"csv": str(csv)}
     smoothness = _smoothness_cfg("logistic", {"csv": str(csv)}, [[3.6, 3.9]])
@@ -464,6 +482,14 @@ UNREAD_FIELDS = {
                          "formulation kind 'multiple'"),
     "single-max-len": ("logistic_smoothness", "formulation.max_len", 2,
                        "formulation kind 'single'"),
+    # only an estimate (its start) and a timing study (the model's θ) read it
+    "grid-model-theta": ("pendulum_grid", "model.theta", [10, 1], "study kind 'grid'"),
+    "multi-start-model-theta": ("logistic_multistart", "model.theta", [3.0],
+                                "study kind 'multi-start'"),
+    "incremental-model-theta": ("farina_incremental", "model.theta", [0.0, 0.0],
+                                "study kind 'incremental'"),
+    "smoothness-model-theta": ("logistic_smoothness", "model.theta", [3.7],
+                               "command 'smoothness'"),
 }
 BUILD_FAILURES.update(
     (name, (cfg, field, value, 3, f"config.{field}: not a field of {owner}"))

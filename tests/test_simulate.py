@@ -144,7 +144,7 @@ def test_chained_intervals_equal_one_rollout(theta, split):
 def _counting_transition(model):
     """A copy of ``model`` whose phase-1 callables record each call as
     (name, rows): ``transition`` with its rows, and ``step``, where the
-    model sets it, with one row."""
+    model sets it, with the rows of its state columns (1 for floats)."""
     calls = []
 
     def transition(x, z, theta):
@@ -152,7 +152,7 @@ def _counting_transition(model):
         return model.transition(x, z, theta)
 
     def step(x, zy, zu, theta):
-        calls.append(("step", 1))
+        calls.append(("step", np.size(x[0])))
         return model.step(x, zy, zu, theta)
     return dataclasses.replace(model, transition=transition,
                                step=step if model.step else None), calls
@@ -308,46 +308,73 @@ def test_stepped_families_are_the_elementwise_ones():
 @pytest.mark.parametrize("family", ALL_FAMILIES,
                          ids=lambda f: lower_to_state_space(f).name)
 def test_one_row_phase_one_calls_step_and_more_rows_call_transition(family):
+    # a model that sets ``step`` steps it at every batch size, on floats
+    # for one row and on (B,) columns for more, and never calls
+    # ``transition``; any other model calls ``transition``
     model, calls = _counting_transition(lower_to_state_space(family))
     ds = Dataset(np.linspace(-1.0, 1.0, 12), np.linspace(0.2, 0.4, 12), {})
     zy, zu = regressor_matrices(model, ds)
-    x0 = np.full((2, model.state_dim), 0.3)
-    one_row = "step" if model.step else "transition"
-    run_intervals(model, model.default_theta, x0[:1],
-                  IntervalPlan.of(model, zy, zu, [0], [12]), with_sens=False)
-    assert calls == [(one_row, 1)] * 12
-    del calls[:]
-    run_intervals(model, model.default_theta, x0,
-                  IntervalPlan.of(model, zy, zu, [0, 4], [12, 8]), with_sens=False)
-    assert calls == [("transition", 2)] * 12
+    name = "step" if model.step else "transition"
+    for starts, lengths in (([0], [12]), ([0, 4], [12, 8]), ([0, 4, 2], [5, 8, 12])):
+        del calls[:]
+        b = len(starts)
+        run_intervals(model, model.default_theta, np.full((b, model.state_dim), 0.3),
+                      IntervalPlan.of(model, zy, zu, starts, lengths), with_sens=False)
+        assert calls == [(name, b)] * 12
 
 
 @settings(max_examples=150, deadline=None)
 @given(family=st.sampled_from(STEPPED_FAMILIES),
        seed=st.integers(min_value=0, max_value=2**31 - 1),
-       length=st.integers(min_value=0, max_value=8),
+       lengths=st.lists(st.integers(min_value=0, max_value=8), min_size=1,
+                        max_size=4),
        theta_gain=st.one_of(st.sampled_from([1e40, 1e300, np.inf]),
                             st.floats(min_value=0.0, max_value=1e3)),
        x0_scale=st.floats(min_value=0.0, max_value=1e160),
        per_row=st.booleans())
-def test_one_row_phase_one_on_floats_equals_the_array_loop(family, seed, length,
+def test_one_row_phase_one_on_floats_equals_the_array_loop(family, seed, lengths,
                                                            theta_gain, x0_scale,
                                                            per_row):
-    # the same rollout with ``step`` unset runs the array loop; the float
-    # path must give its bits, NaN and inf included, and warn of nothing
+    # the same rollout with ``step`` unset runs the array loop; stepping
+    # on floats (one row) or on state columns (more rows) must give its
+    # bits, NaN and inf included, and warn of nothing
     model = lower_to_state_space(family)
     rng = np.random.default_rng(seed)
-    n = 12
+    n, b = 12, len(lengths)
     ds = Dataset(rng.normal(size=n), rng.normal(size=n), {})
     zy, zu = regressor_matrices(model, ds)
-    theta = (model.default_theta + 0.5 * rng.normal(size=model.theta_dim)) * theta_gain
-    theta = theta[:, None] if per_row else theta
-    x0 = rng.normal(size=(1, model.state_dim)) * x0_scale
-    plan = IntervalPlan.of(model, zy, zu, [int(rng.integers(0, n))], [length])
+    th0 = model.default_theta[:, None] if per_row else model.default_theta
+    theta = (th0 + 0.5 * rng.normal(size=th0.shape[:1] + (b,) * per_row)) * theta_gain
+    x0 = rng.normal(size=(b, model.state_dim)) * x0_scale
+    plan = IntervalPlan.of(model, zy, zu, rng.integers(0, n, size=b), lengths)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        floats = run_intervals(model, theta, x0, plan, with_sens=False)
+        columns = run_intervals(model, theta, x0, plan, with_sens=False)
         arrays = run_intervals(dataclasses.replace(model, step=None), theta, x0, plan,
                                with_sens=False)
-    assert floats.xs.shape == (length + 1, 1, model.state_dim)
-    _assert_same_rollout(floats, arrays)
+    assert columns.xs.shape == (max(lengths) + 1, b, model.state_dim)
+    assert columns.xs.flags.c_contiguous
+    _assert_same_rollout(columns, arrays)
+
+
+@pytest.mark.parametrize("lengths, diverged", [([5, 12], [False, False]),
+                                               ([12, 8], [True, False]),
+                                               ([12, 12], [True, False])])
+def test_only_a_state_past_the_limit_within_the_length_diverges(lengths, diverged):
+    # row 0 passes the limit at step 9, which lies past a length of 5 and
+    # within one of 12; row 1 stays at 0. Each row equals its own rollout
+    model = lower_to_state_space(LogisticMap())
+    ds = gen_logistic(n=12)
+    plan = IntervalPlan.of(model, *regressor_matrices(model, ds), [0, 0], lengths)
+    x0 = np.array([[0.5], [0.0]])
+    roll = run_intervals(model, np.array([5.5]), x0, plan, with_sens=True)
+    assert abs(roll.xs[9, 0, 0]) > _STATE_LIMIT >= abs(roll.xs[8, 0, 0])
+    assert roll.diverged.tolist() == diverged
+    for i, length in enumerate(lengths):
+        alone = rollout(model, x0[i], ds, 0, length, [5.5], with_sens=True)
+        assert alone.diverged[0] == diverged[i]
+        for name in ("end_states", "end_state_sens"):
+            _assert_same(getattr(roll, name)[i], getattr(alone, name)[0], name)
+        for name in ("states", "predictions", "output_sens", "valid"):
+            _assert_same(getattr(roll, name)[i, :length], getattr(alone, name)[0], name)
+        assert not roll.valid[i, length:].any()
