@@ -97,22 +97,26 @@ def _call(path: str, fn, *args, **kwargs):
 # Schema: field names and JSON types
 # ---------------------------------------------------------------------------
 
-def _leaf(types: tuple, what: str, test=None, rule: str = ""):
+def _leaf(types: tuple, what: str, *rules: tuple):
     """Check of one JSON value: its exact type (a boolean is no number)
-    and, optionally, a rule on its value."""
+    and then each (test, message) rule on its value."""
     def check(obj, path):
         _check(type(obj) in types, path, f"expected {what}")
-        _check(test is None or test(obj), path, rule)
+        for test, rule in rules:
+            _check(test(obj), path, rule)
     return check
 
 
 def _at_least(low: int):
-    return _leaf((int,), "an integer", lambda v: v >= low, f"must be >= {low}")
+    return _leaf((int,), "an integer", (lambda v: v >= low, f"must be >= {low}"))
 
 
-NUM = _leaf((int, float), "a number")
-NON_NEGATIVE = _leaf((int, float), "a number", lambda v: v >= 0, "must be >= 0")
-POSITIVE = _leaf((int, float), "a number", lambda v: v > 0, "must be positive")
+# json.loads reads NaN, Infinity and -Infinity, and an integer past the
+# float range would overflow where it is used as one
+_FINITE = (lambda v: abs(v) <= sys.float_info.max, "must be finite")
+NUM = _leaf((int, float), "a number", _FINITE)
+NON_NEGATIVE = _leaf((int, float), "a number", _FINITE, (lambda v: v >= 0, "must be >= 0"))
+POSITIVE = _leaf((int, float), "a number", _FINITE, (lambda v: v > 0, "must be positive"))
 INT = _leaf((int,), "an integer")
 COUNT = _at_least(1)
 STR = _leaf((str,), "a string")
@@ -170,22 +174,12 @@ def validate_config(cfg) -> dict:
 # Build: config and seed -> everything a command needs
 # ---------------------------------------------------------------------------
 
-def build_model_family(obj: dict):
-    family = _required(obj, "family", "config.model")
-    theta = obj.get("theta")
-    # without a θ in the config, a family's own default stands
-    given = (tuple(theta),) if theta else ()
-    if family == "logistic":
-        return LogisticMap()
-    if family == "pendulum":
-        return Pendulum()
-    if family == "linear-oe-2nd":
-        return linear_oe_2nd(*given)
-    if family == "linear-arx":
-        return linear_arx(2, 1, tuple(theta) if theta else (0.5, -0.2, 2.0))
-    if family == "farina":
-        return farina_polynomial(*given)
-    raise ConfigError(f"config.model.family: unknown family {family!r}")
+# the model families a config names, each at its default θ; linear_arx has
+# none, so the linear output-error model's stands in for it
+FAMILIES = {"logistic": LogisticMap, "pendulum": Pendulum,
+            "linear-oe-2nd": linear_oe_2nd,
+            "linear-arx": lambda: linear_arx(2, 1, (0.5, -0.2, 2.0)),
+            "farina": farina_polynomial}
 
 
 def _per_parameter(items: list, model, path: str, what: str = "values") -> list:
@@ -199,8 +193,10 @@ def build_model(cfg: dict):
     """(family, state-space model, config.model.theta or the model's default);
     only an estimate (its start) and a timing study accept model.theta."""
     obj = _required(cfg, "model", "config")
-    family = build_model_family(obj)
-    model = _call("config.model.theta", lower_to_state_space, family)
+    name = _required(obj, "family", "config.model")
+    _check(name in FAMILIES, "config.model.family", f"unknown family {name!r}")
+    family = FAMILIES[name]()
+    model = lower_to_state_space(family)
     theta = _per_parameter(obj.get("theta", model.default_theta), model,
                            "config.model.theta")
     return family, model, np.asarray(theta, float)
@@ -492,7 +488,7 @@ def _grid(cfg, study, seed):
 def _timing(cfg, study, seed):
     _fields(cfg, "config", "study kind 'timing'", *_MAIN, "model", "dataset",
             study=("kind", "k_list", "dm_list", "reps"))
-    family, _, _ = build_model(cfg)
+    family, _, theta = build_model(cfg)
     ds = build_dataset(_required(cfg, "dataset", "config"), seed)
     k_list, dm_list = study.get("k_list", []), study.get("dm_list", [])
     _check(k_list or dm_list, "config.study", "needs 'k_list' or 'dm_list'")
@@ -503,8 +499,8 @@ def _timing(cfg, study, seed):
     kwargs = _given(study, "reps")
 
     def run(out_dir):
-        result = xp.timing_study(family, ds, k_list=k_list, dm_list=dm_list,
-                                 **kwargs)
+        result = xp.timing_study(family, ds, theta, k_list=k_list,
+                                 dm_list=dm_list, **kwargs)
         # the measured times go to their own file; result.json drops them
         write_json(os.path.join(out_dir, "timing.json"),
                    dataclasses.asdict(result), deterministic=False)

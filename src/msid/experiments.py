@@ -25,18 +25,9 @@ from .solver import SolverOptions
 
 # the true systems of the pendulum and Farina records are the families' defaults
 PENDULUM_TRUE = (Pendulum.g_over_l, Pendulum.k_a)
-
-
-def study_options(**overrides) -> SolverOptions:
-    """Solver settings shared by the estimation studies.
-
-    A smaller initial radius explores intricate landscapes carefully, and
-    a penalty floor near the multiplier scale keeps the merit function
-    from drowning the tiny costs of near-interpolating residual problems.
-    """
-    base = dict(delta0=0.1, max_iter=1000, mu0=1e-3, penalty_margin=1e-4)
-    base.update(overrides)
-    return SolverOptions(**base)
+# the studies' solver settings are SolverOptions' defaults; the name stays
+# because perfbench/workloads.py imports it
+study_options = SolverOptions
 
 LINEAR2ND_SETTINGS = {
     "a": (0.5, -0.2, 2.0),
@@ -261,7 +252,7 @@ def estimate(model_family, dataset: Dataset, method: str, theta_init=None,
     problem = EstimationProblem(model, dataset, form)
     phi0 = problem.default_point(theta_init)
     # looked up at call time, so a wrapper put on msid.solver.solve sees it
-    res = solver.solve(as_nlp(problem), phi0, solver_options or SolverOptions())
+    res = solver.solve(as_nlp(problem), phi0, solver_options)
     theta = res.point[: model.theta_dim]
     return theta, {"status": res.status, "n_eval": res.n_eval,
                    "wall_time": res.wall_time, "cost": res.cost,
@@ -276,7 +267,6 @@ def multi_start_study(problem: EstimationProblem, guesses,
                       solver_options: SolverOptions | None = None,
                       target=None, tol: float = 1e-3) -> ExperimentResult:
     """Solve the same problem from many initial parameter guesses."""
-    opts = solver_options or SolverOptions()
     result = ExperimentResult(config={
         "study": "multi-start", "model": problem.model.name,
         "formulation": type(problem.formulation).__name__,
@@ -287,7 +277,7 @@ def multi_start_study(problem: EstimationProblem, guesses,
     for guess in guesses:
         guess = np.atleast_1d(np.asarray(guess, float))
         phi0 = problem.default_point(guess)
-        res = solver.solve(as_nlp(problem), phi0, opts)
+        res = solver.solve(as_nlp(problem), phi0, solver_options)
         theta = res.point[: problem.model.theta_dim]
         rec = {"guess": guess.tolist(), "theta": theta.tolist(),
                "cost": res.cost, "status": res.status,
@@ -346,7 +336,6 @@ def monte_carlo_study(config: MonteCarloConfig) -> ExperimentResult:
         family = farina_polynomial()
         gen = partial(gen_farina, **kw)
 
-    opts = config.solver or SolverOptions()
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_realizations)
     result = ExperimentResult(config={
         "study": "monte-carlo", "generator": config.generator,
@@ -360,7 +349,7 @@ def monte_carlo_study(config: MonteCarloConfig) -> ExperimentResult:
                 if config.generator == "linear2nd" else theta_true * 0.0)
         for method in config.methods:
             theta, info = estimate(family, dataset, method,
-                                   theta_init=init, solver_options=opts)
+                                   theta_init=init, solver_options=config.solver)
             err = np.asarray(theta[: len(theta_true)]) - theta_true
             result.records.append({
                 "realization": i, "seed": run_seed, "method": method,
@@ -419,10 +408,10 @@ def total_variation(grid: np.ndarray) -> float:
 SAMPLE_SECONDS = 0.1    # wall time per setting and repetition
 
 
-def timing_study(model_family, dataset: Dataset, k_list=(), dm_list=(),
+def timing_study(model_family, dataset: Dataset, theta, k_list=(), dm_list=(),
                  reps: int = 5) -> ExperimentResult:
-    """Wall time per cost evaluation versus the horizon K and versus the
-    interval cap of multiple shooting, at the family's default parameters.
+    """Wall time per cost evaluation at the parameters theta versus the
+    horizon K and versus the interval cap of multiple shooting.
 
     Multiple-shooting timing uses ``batch_costs`` at one parameter
     vector, whose work is proportional to the record length alone.  Each
@@ -433,7 +422,7 @@ def timing_study(model_family, dataset: Dataset, k_list=(), dm_list=(),
     the mean over all of its evaluations.
     """
     model = lower_to_state_space(model_family)
-    theta = model.default_theta
+    theta = np.asarray(theta, float)
     result = ExperimentResult(config={
         "study": "timing", "model": model.name, "n": dataset.n,
         "k_list": list(k_list), "dm_list": list(dm_list), "reps": reps})

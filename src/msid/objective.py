@@ -28,7 +28,7 @@ from .dataset import Dataset
 from .models import RegressorWindow, StateSpaceModel, regressor_matrices
 from .simulate import _STATE_LIMIT, IntervalPlan, run_intervals
 from . import solver
-from .solver import NlpProblem, ShootingJacobian, SolverOptions
+from .solver import NlpProblem, ShootingJacobian
 
 
 @dataclass(frozen=True)
@@ -411,13 +411,12 @@ def incremental_k_schedule(model: StateSpaceModel, dataset: Dataset, theta_init,
     Stops early when consecutive solutions move less than ``tol``.
     Returns a list of (horizon, solver result) pairs.
     """
-    opts = solver_options or SolverOptions()
     theta = np.asarray(theta_init, dtype=float)
     results = []
     for k in range(1, k_max + 1):
         problem = EstimationProblem(model, dataset, MsaPem(k))
         # looked up at call time, so a wrapper put on msid.solver.solve sees it
-        res = solver.solve(as_nlp(problem), theta, opts)
+        res = solver.solve(as_nlp(problem), theta, solver_options)
         results.append((k, res))
         step = np.linalg.norm(res.point - theta)
         theta = res.point

@@ -30,11 +30,12 @@ correction.  The Jacobian's type picks the factorization:
 
 Steps are judged with the merit function phi = V + mu*||c||_2; the
 penalty mu only ever increases.  The trust-region policy (radius
-updates, stagnation test, CG budget) is fixed by the module constants
-below; ``SolverOptions`` holds what a caller sets.  With zero constraints
-the method degrades to a plain trust-region Newton-CG.  A solve whose cost,
-gradient, multipliers, KKT residual or step norm are not finite stops at
-once with status ``non-finite``.
+updates, stagnation test, CG budget) and the penalty's start and margin
+are fixed by the module constants below; ``SolverOptions`` holds what a
+caller sets, and its defaults are the settings every study runs with.
+With zero constraints the method degrades to a plain trust-region
+Newton-CG.  A solve whose cost, gradient, multipliers, KKT residual or
+step norm are not finite stops at once with status ``non-finite``.
 """
 from __future__ import annotations
 
@@ -62,6 +63,10 @@ _XTOL_REL = 1e-6                # with a relative step below this,
 _STALL_PATIENCE = 10            # this many feasible iterations in a row
 _CG_EXTRA = 10                  # CG iterations beyond n - m
 _CG_TOL = 1e-10                 # CG stops at this share of max(1, first projected residual)
+# a penalty start and margin near the multiplier scale keep the merit
+# function from drowning the tiny costs of near-interpolating residual problems
+_MU0 = 1e-3                     # the penalty's start
+_PENALTY_MARGIN = 1e-4          # a raised penalty exceeds the value it needs by this
 
 
 @dataclass
@@ -96,9 +101,8 @@ class SolverOptions:
     tol: float = 1e-8
     constraint_tol: float = 1e-8
     max_iter: int = 1000
-    delta0: float = 1.0
-    mu0: float = 1.0
-    penalty_margin: float = 1.0
+    # a small initial radius explores intricate landscapes carefully
+    delta0: float = 0.1
     accept_ratio: float = 0.1
     trace: bool = False
 
@@ -519,7 +523,7 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
     t_start = time.perf_counter()
     x = np.asarray(x0, dtype=float).copy()
     lam = np.zeros(problem.m)
-    radius, penalty = opts.delta0, opts.mu0
+    radius, penalty = opts.delta0, _MU0
     trace = []
 
     v_val = float(problem.f(x))
@@ -569,9 +573,8 @@ def solve(problem: NlpProblem, x0, options: SolverOptions | None = None) -> Solv
             # so raising mu there would only poison the merit ratio
             mu_req = qp / (0.5 * vpred)
             if penalty < mu_req:
-                margin = opts.penalty_margin
-                penalty = max(mu_req + margin,
-                              np.max(np.abs(lam), initial=0.0) * 2.0 + margin,
+                penalty = max(mu_req + _PENALTY_MARGIN,
+                              np.max(np.abs(lam), initial=0.0) * 2.0 + _PENALTY_MARGIN,
                               penalty)
         predicted = -qp + penalty * vpred
 

@@ -131,8 +131,7 @@ def test_criterion_02_split_cost_equals_full_cost():
 
 
 def test_criterion_03_solver_kkt_certificates():
-    opts = SolverOptions(tol=1e-10, constraint_tol=1e-10,
-                         mu0=1e-3, penalty_margin=1e-4)
+    opts = SolverOptions(tol=1e-10, constraint_tol=1e-10, delta0=1.0)
     n_ok = 0
     worst_kkt = 0.0
     worst_dist = 0.0

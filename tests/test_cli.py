@@ -3,9 +3,10 @@ import pathlib
 
 import pytest
 
-from msid import incremental_k_schedule
+import msid.experiments as xp
+from msid import EstimationProblem, SolverOptions, incremental_k_schedule
 from msid.cli import main
-from msid.experiments import gen_farina, gen_logistic, study_options
+from msid.experiments import gen_farina, gen_logistic
 from msid.models import farina_polynomial, lower_to_state_space
 from msid.smoothness import SmoothnessReport
 
@@ -27,9 +28,7 @@ def _estimate_cfg(n=60, max_len=2):
     return {"command": "estimate", "seed": 0,
             "model": {"family": "logistic", "theta": [3.4]},
             "dataset": {"generator": "logistic", "n": n},
-            "formulation": {"kind": "multiple", "max_len": max_len},
-            "solver": {"delta0": 0.1, "max_iter": 1000,
-                       "mu0": 1e-3, "penalty_margin": 1e-4}}
+            "formulation": {"kind": "multiple", "max_len": max_len}}
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +46,15 @@ def test_bundled_configs_validate():
     assert configs, "no bundled configs found"
     for cfg in configs:
         assert main(["validate", "--config", str(cfg)]) == 0, cfg.name
+
+
+def test_bundled_solver_blocks_set_no_default():
+    # the studies' settings are SolverOptions' defaults; a config sets only
+    # what it changes
+    defaults = SolverOptions()
+    for cfg in sorted(CONFIG_DIR.glob("*.json")):
+        for key, value in json.loads(cfg.read_text()).get("solver", {}).items():
+            assert value != getattr(defaults, key), f"{cfg.name}: solver.{key}"
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -93,7 +101,7 @@ def test_msa_horizon_must_be_positive(tmp_path, capsys):
 
 def test_unknown_solver_option_rejected(tmp_path, capsys):
     cfg = _estimate_cfg()
-    cfg["solver"]["warp_speed"] = True
+    cfg["solver"] = {"warp_speed": True}
     assert main(["validate", "--config", _write(tmp_path, cfg)]) == 3
     assert "solver" in capsys.readouterr().err
 
@@ -168,7 +176,7 @@ def test_estimate_nonconvergence_exits_4(tmp_path, capsys):
     cfg = _estimate_cfg(n=60)
     cfg["formulation"] = {"kind": "single"}
     cfg["model"]["theta"] = [3.2]          # trapped start for single shooting
-    cfg["solver"]["max_iter"] = 3
+    cfg["solver"] = {"max_iter": 3}
     path = _write(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out)]) == 4
@@ -426,9 +434,24 @@ BUILD_FAILURES = {
                          "config.formulation.incremental: unknown field"),
     "solver-trace": ("logistic_estimate_ms2", "solver.trace", True, 3,
                      "config.solver.trace: unknown field"),
-    # the trust-region policy is fixed in the solver, not a config key
+    # the trust-region policy and the penalty's start and margin are fixed
+    # in the solver, not config keys
     "solver-shrink-factor": ("logistic_estimate_ms2", "solver.shrink_factor", 0.5, 3,
                              "config.solver.shrink_factor: unknown field"),
+    "solver-mu0": ("logistic_estimate_ms2", "solver.mu0", 1e-3, 3,
+                   "config.solver.mu0: unknown field"),
+    "solver-penalty-margin": ("logistic_estimate_ms2", "solver.penalty_margin", 1e-4, 3,
+                              "config.solver.penalty_margin: unknown field"),
+    # json.loads reads NaN and Infinity, which no number field takes
+    "param-box-infinite": ("logistic_smoothness", "smoothness.param_box",
+                           [[3.6, float("inf")]], 3,
+                           "config.smoothness.param_box[0][1]: must be finite"),
+    "param-box-unbounded": ("logistic_smoothness", "smoothness.param_box",
+                            [[-float("inf"), float("inf")]], 3,
+                            "config.smoothness.param_box[0][0]: must be finite"),
+    "grid-axis-infinite": ("pendulum_grid", "study.grid",
+                           [[20, float("inf"), 3], [0.5, 6.0, 3]], 3,
+                           "config.study.grid[0][1]: must be finite"),
     "pair-samples": ("logistic_smoothness", "smoothness.pair_samples", 2.5, 3,
                      "config.smoothness.pair_samples: expected an integer"),
     "dataset-n": ("logistic_estimate_ms2", "dataset.n", 10.7, 3,
@@ -504,7 +527,7 @@ def test_validate_and_run_agree(tmp_path, capsys, name, field, value, code,
     *parents, key = field.split(".")
     obj = cfg
     for part in parents:
-        obj = obj[part]
+        obj = obj.setdefault(part, {})
     obj[key] = value
     path = _write(tmp_path, cfg)
     assert main(["validate", "--config", path]) == code
@@ -577,13 +600,38 @@ def test_timing_study_result_is_deterministic(tmp_path):
     assert set(timing["summaries"]) == {"msa_slope", "msa_r2", "ms_spread"}
 
 
+@pytest.mark.parametrize("family, theta", [("logistic", [3.5]),
+                                           ("pendulum", [30.0, 1.5])])
+def test_timing_study_times_at_model_theta(tmp_path, monkeypatch, family, theta):
+    # every cost the study times, by horizon and by interval cap, is at θ
+    timed = []
+    cost, batch_costs = EstimationProblem.cost, EstimationProblem.batch_costs
+
+    def spy_cost(self, phi):
+        timed.append(phi[: self.model.theta_dim].tolist())
+        return cost(self, phi)
+
+    def spy_batch_costs(self, thetas, seeds):
+        timed.extend(row.tolist() for row in thetas)
+        return batch_costs(self, thetas, seeds)
+    monkeypatch.setattr(EstimationProblem, "cost", spy_cost)
+    monkeypatch.setattr(EstimationProblem, "batch_costs", spy_batch_costs)
+    monkeypatch.setattr(xp, "SAMPLE_SECONDS", 0.0)
+    cfg = {"command": "study", "seed": 0,
+           "model": {"family": family, "theta": theta},
+           "dataset": {"generator": family, "n": 40},
+           "study": {"kind": "timing", "k_list": [1, 2], "dm_list": [4],
+                     "reps": 1}}
+    path = _write(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert timed and all(t == theta for t in timed)
+
+
 def _incremental_cfg(guesses, tol):
     return {"command": "study", "seed": 0, "model": {"family": "farina"},
             "dataset": {"generator": "farina", "n": 60},
             "study": {"kind": "incremental", "guesses": guesses, "tol": tol,
-                      "k_max": 4},
-            "solver": {"delta0": 0.1, "max_iter": 1000,
-                       "mu0": 1e-3, "penalty_margin": 1e-4}}
+                      "k_max": 4}}
 
 
 def test_incremental_study_runs_one_schedule_per_guess(tmp_path):
@@ -595,7 +643,7 @@ def test_incremental_study_runs_one_schedule_per_guess(tmp_path):
     expected, thetas = [], []
     for guess in guesses:
         schedule = incremental_k_schedule(model, gen_farina(n=60), guess, 4,
-                                          study_options(), tol=0.0)
+                                          SolverOptions(), tol=0.0)
         assert [k for k, _ in schedule] == [1, 2, 3, 4]
         expected += [{"guess": guess, "horizon": k, "point": r.point.tolist(),
                       "multipliers": r.multipliers.tolist(), "status": r.status,

@@ -6,8 +6,8 @@ import pytest
 
 import msid.solver
 from msid import (EstimationProblem, ExperimentResult, MsaPem,
-                  MultipleShooting, ShootingPlan, SingleShooting, arx_fit,
-                  gen_farina, gen_linear2nd, gen_logistic, gen_pendulum,
+                  MultipleShooting, ShootingPlan, SingleShooting, SolverOptions,
+                  arx_fit, gen_farina, gen_linear2nd, gen_logistic, gen_pendulum,
                   grid_scan, linear_fit_r2, multi_start_study, total_variation)
 from msid.cli import write_json
 from msid.experiments import (LINEAR2ND_SETTINGS, MonteCarloConfig,
@@ -135,12 +135,12 @@ def test_arx_fit_recovers_arx_truth():
 
 
 def test_study_options_defaults_and_overrides():
-    opts = study_options()
-    assert opts.delta0 == 0.1
-    assert opts.max_iter == 1000
-    assert opts.mu0 == 1e-3
-    assert opts.penalty_margin == 1e-4
-    assert study_options(max_iter=150).max_iter == 150
+    # the studies' settings are the solver's defaults and constants
+    opts = SolverOptions()
+    assert (opts.delta0, opts.max_iter) == (0.1, 1000)
+    assert (msid.solver._MU0, msid.solver._PENALTY_MARGIN) == (1e-3, 1e-4)
+    assert study_options(max_iter=150, trace=True) == \
+        SolverOptions(max_iter=150, trace=True)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_multi_start_study_counts_successes():
     prob = EstimationProblem(lower_to_state_space(LogisticMap()),
                              gen_logistic(n=100),
                              MultipleShooting(ShootingPlan.from_max_len(100, 2)))
-    res = multi_start_study(prob, [3.3, 3.7], study_options(),
+    res = multi_start_study(prob, [3.3, 3.7], SolverOptions(),
                             target=[3.78], tol=1e-3)
     assert res.summaries["successes"] == 2
     assert len(res.records) == 2
@@ -171,7 +171,7 @@ def test_multi_start_study_solves_through_the_solver_module(monkeypatch):
     prob = EstimationProblem(lower_to_state_space(LogisticMap()),
                              gen_logistic(n=40),
                              MultipleShooting(ShootingPlan.from_max_len(40, 2)))
-    res = multi_start_study(prob, [3.5, 3.7], study_options(max_iter=5))
+    res = multi_start_study(prob, [3.5, 3.7], SolverOptions(max_iter=5))
     assert len(res.records) == 2
     assert len(calls) == 2
 
@@ -189,7 +189,8 @@ def test_monte_carlo_config_checks_its_fields(field, value, message):
 
 
 def test_timing_study_with_horizons_only():
-    res = timing_study(LogisticMap(), gen_logistic(n=40), k_list=(1, 2, 3), reps=1)
+    res = timing_study(LogisticMap(), gen_logistic(n=40), [3.78], k_list=(1, 2, 3),
+                       reps=1)
     assert [r["K"] for r in res.records] == [1, 2, 3]
     assert "ms_spread" not in res.summaries
 

@@ -10,8 +10,7 @@ import pytest
 import msid.objective
 import msid.solver
 from msid import (EstimationProblem, MultipleShooting, NlpProblem, ShootingPlan,
-                  as_nlp, gen_logistic)
-from msid.experiments import study_options
+                  SolverOptions, as_nlp, gen_logistic)
 from msid.models import LogisticMap, lower_to_state_space
 
 PROBE_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
@@ -81,7 +80,7 @@ def test_probe_counts_every_kind_of_rollout(spans, monkeypatch):
     p = probe.Probe(spans=spans)
     with p.active():
         res = msid.solver.solve(as_nlp(prob), prob.default_point(np.array([3.5])),
-                                study_options(max_iter=8))
+                                SolverOptions(max_iter=8))
     assert res.iterations > 0
     assert {"cost-only", "phase-2-only", "curvature-only"} <= set(kinds)
     assert p.counts["simulate.rollouts"] == len(kinds)

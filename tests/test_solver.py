@@ -17,7 +17,6 @@ import msid.objective
 from msid import (EstimationProblem, MultipleShooting, NlpProblem,
                   ShootingPlan, SingleShooting, SolverOptions, as_nlp,
                   gen_logistic, gen_pendulum, solve)
-from msid.experiments import study_options
 from msid.models import LogisticMap, Pendulum, lower_to_state_space
 from msid.solver import (JacobianSvd, ShootingJacobian, _norm, factorize,
                          horizontal_step, lagrange_multipliers, merit,
@@ -346,7 +345,7 @@ _case("five-dim-three-constraints",
 @pytest.mark.parametrize("nlp,x0,x_star,lam_star", KKT_CASES)
 def test_known_solutions(nlp, x0, x_star, lam_star):
     res = solve(nlp, x0, SolverOptions(tol=1e-10, constraint_tol=1e-10,
-                                       mu0=1e-3, penalty_margin=1e-4))
+                                       delta0=1.0))
     assert res.converged, res.status
     assert res.kkt_residual <= 1e-8
     assert res.constraint_violation <= 1e-8
@@ -365,7 +364,7 @@ def test_unconstrained_reduces_to_newton_cg():
 
 
 # random starts on the KKT_CASES problems, solved with a trace
-_TRACED = SolverOptions(trace=True, mu0=1e-3, penalty_margin=1e-4, max_iter=300)
+_TRACED = SolverOptions(trace=True, delta0=1.0, max_iter=300)
 
 
 def _traced_solve(case, start):
@@ -610,7 +609,7 @@ def test_cached_solve_equals_uncached_solve(family, form, theta0, monkeypatch):
         ds = gen_logistic(n=256)
     prob = EstimationProblem(model, ds, form)
     x0 = prob.default_point(np.array(theta0))
-    opts = study_options(max_iter=10)
+    opts = SolverOptions(max_iter=10)
     reused = []
     run_intervals = msid.objective.run_intervals
 
