@@ -14,12 +14,15 @@ noiseless outputs) and ARMAX (state = past noise estimates).
 All model callables are batched: ``x`` has shape (B, N_x), the regressor
 fields have shape (B, n_y) and (B, n_u + 1), and Jacobians come back with
 a leading batch axis.  A row's value does not depend on the batch size:
-products use ``einsum``, as BLAS ``@`` rounds a row by the batch's shape.
+products use ``einsum``, as BLAS ``@`` rounds a row by the batch's shape,
+and their tables are C-contiguous, as ``einsum`` rounds by operand strides.
 ``transition`` and ``output`` accept ``theta`` of shape (n_theta,), shared
 across the batch, or (n_theta, B), one parameter vector per batch row
-(what a cost scan over a parameter grid passes); each row of a per-row
-call is bit-equal to the one-row call with that row's ``theta``.  The
-Jacobian evaluators take a shared ``theta`` only.  The pendulum and the
+(what a cost scan over a parameter grid passes).  A shared ``theta`` enters
+``einsum`` as one (1, n_theta) row, which it broadcasts over the batch; a
+per-row one as a (B, n_theta) copy.  Each row of either call is bit-equal
+to the one-row call with that row's ``theta``.  The Jacobian evaluators
+take a shared ``theta`` only.  The pendulum and the
 logistic map also give their state update as ``step``, written once over
 state columns, and build ``transition`` from it; a rollout steps it
 directly, on Python floats for one row and on (B,) columns for more.
@@ -27,10 +30,12 @@ directly, on Python floats for one row and on (B,) columns for more.
 The logistic map, the polynomial output-error models and the neural-net
 output-error model share one recursion, y[k] = f(y[k-1..k-p], u; theta),
 and are lowered by one builder from their one-step map f and its
-derivatives.
+derivatives.  A polynomial's terms are read once, at lowering, into gather
+tables of (source, column) factors; its callables only gather and multiply.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -212,18 +217,19 @@ def lower_to_state_space(family: ModelFamily) -> StateSpaceModel:
     raise ModelStructureError(f"unknown model family {family!r}")
 
 
-def _theta_rows(th, b):
-    """theta as (b, n_theta) rows with unit stride along theta: a zero-stride
-    view of a shared (n_theta,) vector, a copy of a per-row (n_theta, b)
-    array.  einsum's rounding follows operand strides, so a row read this
+def _theta_rows(th):
+    """theta as rows with unit stride along theta: a shared (n_theta,)
+    vector as one (1, n_theta) row, which einsum broadcasts over the batch
+    with stride zero, and a per-row (n_theta, B) array as a (B, n_theta)
+    copy.  einsum's rounding follows operand strides, so a row read this
     way gives the bits of its one-row call."""
-    th = np.asarray(th)
-    return np.broadcast_to(np.ascontiguousarray(th.T), (b, th.shape[0]))
+    th = np.ascontiguousarray(np.asarray(th).T)
+    return th if th.ndim == 2 else th[None]
 
 
 def _apply_coeffs(vals, th):
     """Term values (B, T) times coefficients, shared or per-row."""
-    return np.einsum("bt,bt->b", vals, _theta_rows(th, vals.shape[0]))
+    return np.einsum("bt,bt->b", vals, _theta_rows(th))
 
 
 def _columns_transition(step):
@@ -358,62 +364,56 @@ def _check_terms(terms):
         for kind, lag in term:
             if kind not in ("y", "u"):
                 raise ModelStructureError(f"term {t}: unknown factor kind {kind!r}")
+            if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)):
+                raise ModelStructureError(f"term {t}: lag must be an integer, got {lag!r}")
             if kind == "y" and lag < 1:
                 raise ModelStructureError(f"term {t}: y-lag must be >= 1, got {lag}")
             if kind == "u" and lag < 0:
                 raise ModelStructureError(f"term {t}: u-lag must be >= 0, got {lag}")
 
 
-def _poly_monomials(terms, yv, uv, want_dy):
-    """Evaluate the monomials of a term list.
-
-    yv[:, j] is the value of the y-factor at lag j+1, uv[:, j] the input
-    at lag j.  Returns (vals (B, T), dy (B, T, p) or None), with dy the
-    derivatives w.r.t. the y-lag values (product rule, handles repeats).
-    """
-    b = yv.shape[0] if yv.size else uv.shape[0]
-    p = yv.shape[1]
-    nt = len(terms)
-    vals = np.ones((b, nt))
-    dy = np.zeros((b, nt, p)) if want_dy else None
-    for t, term in enumerate(terms):
-        facs = [yv[:, lag - 1] if kind == "y" else uv[:, lag] for kind, lag in term]
-        prod = np.ones(b)
-        for f in facs:
-            prod = prod * f
-        vals[:, t] = prod
-        if want_dy:
-            for idx, (kind, lag) in enumerate(term):
-                if kind != "y":
-                    continue
-                others = np.ones(b)
-                for jdx, f in enumerate(facs):
-                    if jdx != idx:
-                        others = others * f
-                dy[:, t, lag - 1] += others
-    return vals, dy
-
-
 def _lower_polynomial(fam: Polynomial) -> StateSpaceModel:
     _check_terms(fam.terms)
     if fam.noise not in ("oe", "arx"):
         raise ModelStructureError(f"unknown noise assumption {fam.noise!r}")
-    terms = tuple(tuple(term) for term in fam.terms)
-    nt = len(terms)
+    nt = len(fam.terms)
     if len(fam.theta) != nt:
         raise ModelStructureError("theta length must match the number of terms")
-    ny = max([lag for term in terms for kind, lag in term if kind == "y"], default=0)
-    nu = max([lag for term in terms for kind, lag in term if kind == "u"], default=0)
+    # the gather table: each factor as (source, column).  The sources are
+    # a pair ordered as RegressorWindow: 0 the y values (past outputs, or
+    # an output-error model's state), whose column l - 1 holds y-lag l,
+    # and 1 the inputs, whose column l holds input lag l
+    table = [[(0, int(lag) - 1) if kind == "y" else (1, int(lag)) for kind, lag in term]
+             for term in fam.terms]
+    ny = max([int(lag) for term in fam.terms for kind, lag in term if kind == "y"], default=0)
+    nu = max([int(lag) for term in fam.terms for kind, lag in term if kind == "u"], default=0)
+    # the product rule's table: (term, y column, the term's other factors)
+    # for each y factor, so a repeated factor adds once per occurrence
+    rule = [(t, c, term[:i] + term[i + 1:])
+            for t, term in enumerate(table) for i, (s, c) in enumerate(term) if s == 0]
     default_theta = np.asarray(fam.theta, dtype=float)
+
+    def product(factors, src):
+        # from 1.0, as a constant term's value is 1.0 and 1.0 * v is exact
+        return math.prod((src[s][:, c] for s, c in factors), start=1.0)
+
+    def monomials(src):
+        # a C-contiguous (B, T) table: einsum's rounding follows its strides
+        vals = np.empty((len(src[1]), nt))
+        for t, factors in enumerate(table):
+            vals[:, t] = product(factors, src)
+        return vals
 
     if fam.noise == "oe" and ny > 0:
         def f(x, z, th):
-            vals, _ = _poly_monomials(terms, x, z.current_inputs, False)
-            return _apply_coeffs(vals, th)
+            return _apply_coeffs(monomials((x, z.current_inputs)), th)
 
         def df(x, z, th):
-            vals, dy = _poly_monomials(terms, x, z.current_inputs, True)
-            return np.einsum("btj,t->bj", dy, th), vals
+            src = (x, z.current_inputs)
+            dy = np.zeros((len(x), nt, ny))
+            for t, c, others in rule:
+                dy[:, t, c] += product(others, src)
+            return np.einsum("btj,t->bj", dy, th), monomials(src)
 
         return _output_error("poly-oe", ny, nu, default_theta, f, df)
 
@@ -422,17 +422,14 @@ def _lower_polynomial(fam: Polynomial) -> StateSpaceModel:
         return x[:, :0]
 
     def output(x, z, th):
-        vals, _ = _poly_monomials(terms, z.past_outputs[:, :ny], z.current_inputs, False)
-        return _apply_coeffs(vals, th)[:, None]
+        return _apply_coeffs(monomials(z), th)[:, None]
 
     def tjac(x, z, th):
         b = x.shape[0]
         return np.zeros((b, 0, 0)), np.zeros((b, 0, nt))
 
     def ojac(x, z, th):
-        vals, _ = _poly_monomials(terms, z.past_outputs[:, :ny], z.current_inputs, False)
-        b = vals.shape[0]
-        return np.zeros((b, 1, 0)), vals[:, None, :]
+        return np.zeros((len(x), 1, 0)), monomials(z)[:, None, :]
 
     def init_state(y, u, m):
         return np.zeros((len(m), 0))
@@ -460,9 +457,8 @@ def _lower_neural_net(fam: NeuralNetOE) -> StateSpaceModel:
 
     def forward(x, z, th):
         r = np.concatenate([x, z.current_inputs], axis=1)
-        b = r.shape[0]
-        rows = _theta_rows(th, b)
-        w1 = rows[:, :i_b1].reshape(b, h, n_in)
+        rows = _theta_rows(th)
+        w1 = rows[:, :i_b1].reshape(-1, h, n_in)
         t = np.tanh(np.einsum("bhi,bi->bh", w1, r) + rows[:, i_b1:i_w2])
         return r, t, np.einsum("bh,bh->b", t, rows[:, i_w2:-1]) + rows[:, -1]
 

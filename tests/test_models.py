@@ -23,6 +23,16 @@ ALL_FAMILIES = (
     LinearARMAX(n_a=2, n_b=1, n_c=1),
 )
 
+# polynomials with the term shapes the bundled models lack: a constant
+# term, a squared y factor (the product rule adds twice) and a three-factor
+# term, output-error and ARX
+EDGE_POLYNOMIALS = (
+    Polynomial(terms=((), (("y", 1), ("y", 1)), (("y", 1), ("y", 2), ("u", 0))),
+               theta=(0.3, 0.2, -0.4), noise="oe"),
+    Polynomial(terms=((), (("y", 1),), (("u", 1), ("y", 2))),
+               theta=(0.1, 0.5, 2.0), noise="arx"),
+)
+
 
 def _window(zy, zu, k):
     return RegressorWindow(zy[k: k + 1], zu[k: k + 1])
@@ -71,6 +81,7 @@ def test_pendulum_transition_matches_direct_euler():
     linear_arx(2, 1, (0.5, -0.2, 2.0)),
     NeuralNetOE(n_y=2, n_u=1, hidden=3),
     LinearARMAX(n_a=2, n_b=1, n_c=1),
+    *EDGE_POLYNOMIALS,
 ])
 def test_jacobians_match_finite_differences(family, rng):
     model = lower_to_state_space(family)
@@ -101,7 +112,7 @@ def test_jacobians_match_finite_differences(family, rng):
 def test_batched_theta_broadcast_matches_scalar_calls(rng):
     # grid scans pass theta as (theta_dim, B); each row must have the exact
     # bits of the one-row call with its theta
-    for family in ALL_FAMILIES:
+    for family in ALL_FAMILIES + EDGE_POLYNOMIALS:
         model = lower_to_state_space(family)
         g = 4
         ths = rng.normal(scale=0.5, size=(g, model.theta_dim)) + model.default_theta
@@ -117,6 +128,28 @@ def test_batched_theta_broadcast_matches_scalar_calls(rng):
                 single = fn(x[i: i + 1], zi, ths[i])
                 np.testing.assert_array_equal(batched[i], single[0],
                                               err_msg=model.name)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES + EDGE_POLYNOMIALS,
+                         ids=lambda f: type(f).__name__)
+def test_shared_theta_rows_do_not_depend_on_batch_size(family, rng):
+    # a shared theta is one (1, n_theta) row that einsum broadcasts over
+    # the batch; each row of a B = 4 call has the bits of its one-row call
+    model = lower_to_state_space(family)
+    g = 4
+    th = model.default_theta + rng.normal(scale=0.5, size=model.theta_dim)
+    x = rng.normal(scale=0.3, size=(g, model.state_dim))
+    z = RegressorWindow(rng.normal(size=(g, model.n_y)),
+                        rng.normal(size=(g, model.n_u + 1)))
+    for fn in (model.transition, model.output,
+               model.transition_jacobians, model.output_jacobians):
+        batched = fn(x, z, th)
+        rows = [fn(x[i: i + 1], _window(*z, i), th) for i in range(g)]
+        if not isinstance(batched, tuple):
+            batched, rows = (batched,), [(r,) for r in rows]
+        for k, got in enumerate(batched):
+            np.testing.assert_array_equal(
+                got, np.concatenate([r[k] for r in rows]), err_msg=model.name)
 
 
 @pytest.mark.filterwarnings("error")
@@ -172,6 +205,17 @@ def test_bad_polynomial_rejected():
         lower_to_state_space(Polynomial(terms=(), theta=()))
     with pytest.raises(ModelStructureError):
         lower_to_state_space(Polynomial(terms=((("y", 1),),), theta=(1.0, 2.0)))
+    # a lag that is not an integer is refused at lowering, not at the first
+    # call; bool is not a lag, numpy integers are
+    for lag in (1.5, 1.0, True, np.float64(1.0), "1"):
+        with pytest.raises(ModelStructureError):
+            lower_to_state_space(Polynomial(terms=((("y", lag),),), theta=(0.5,)))
+        with pytest.raises(ModelStructureError):
+            lower_to_state_space(Polynomial(terms=((("u", lag),),), theta=(0.5,)))
+    model = lower_to_state_space(
+        Polynomial(terms=((("y", np.int64(2)), ("u", np.int32(1))),), theta=(0.5,)))
+    assert (model.n_y, model.n_u) == (2, 1)
+    assert type(model.n_y) is int and type(model.n_u) is int
 
 
 @settings(max_examples=20, deadline=None)
