@@ -17,10 +17,13 @@ steps and then executes.  The two therefore accept the same configs,
 and a config that fails to build stops ``run`` before it creates any
 output.
 
-Exit codes: 0 success, 2 missing file (the config or a CSV dataset, or
-a path to either that names a directory), 3 schema violation (message
-names the offending field path), 4 solver did not converge (status
-``max-iter``) or could not evaluate its start (status ``non-finite``).
+Exit codes: 0 success, 2 a path that cannot be read or written (a
+missing config or CSV dataset, a path to either that names a directory,
+or an output directory that names a file, lies under one, or holds a
+directory where ``run`` writes a file), 3 schema violation (message
+names the offending field path; a config that is not UTF-8 is not valid
+JSON), 4 solver did not converge (status ``max-iter``) or could not
+evaluate its start (status ``non-finite``).
 """
 from __future__ import annotations
 
@@ -557,12 +560,13 @@ COMMANDS = {"simulate": build_simulate, "estimate": build_estimate,
 # ---------------------------------------------------------------------------
 
 def _load_config(path: str):
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return json.loads(text), text
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: not valid JSON ({exc})") from None
+    # JSON's encoding, whatever the host locale
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+            return json.loads(text), text
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config: not valid JSON ({exc})") from None
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -592,22 +596,21 @@ def main(argv=None) -> int:
         validate_config(cfg)
         seed = cfg.get("seed", 0)
         execute = COMMANDS[cfg["command"]](cfg, seed)
+        if args.action == "validate":
+            print("config ok")
+            return EXIT_OK
+        out_dir = args.out or cfg.get("out", "msid-out")
+        os.makedirs(out_dir, exist_ok=True)
+        write_manifest(out_dir, text, cfg, seed)
+        return execute(out_dir, args.trace)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        reason = {FileNotFoundError: "file not found",
+                  IsADirectoryError: "a directory, not a file"}.get(type(exc), exc.strerror)
+        print(f"{reason}: {exc.filename}", file=sys.stderr)
         return EXIT_MISSING
-    except IsADirectoryError as exc:
-        print(f"a directory, not a file: {exc.filename}", file=sys.stderr)
-        return EXIT_MISSING
-    if args.action == "validate":
-        print("config ok")
-        return EXIT_OK
-    out_dir = args.out or cfg.get("out", "msid-out")
-    os.makedirs(out_dir, exist_ok=True)
-    write_manifest(out_dir, text, cfg, seed)
-    return execute(out_dir, args.trace)
 
 
 if __name__ == "__main__":

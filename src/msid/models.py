@@ -361,6 +361,9 @@ def _check_terms(terms):
     if not terms:
         raise ModelStructureError("polynomial model needs at least one term")
     for t, term in enumerate(terms):
+        if not isinstance(term, (tuple, list)) or not all(
+                isinstance(f, (tuple, list)) and len(f) == 2 for f in term):
+            raise ModelStructureError(f"term {t}: expected (kind, lag) pairs, got {term!r}")
         for kind, lag in term:
             if kind not in ("y", "u"):
                 raise ModelStructureError(f"term {t}: unknown factor kind {kind!r}")

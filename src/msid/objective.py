@@ -99,7 +99,6 @@ class _FullEval:
     """Everything derivable from one batched rollout at a decision point."""
 
     cost: float
-    interval_costs: np.ndarray | None = None
     residuals: np.ndarray | None = None      # (B, T, N_out), kept steps only
     output_sens: np.ndarray | None = None    # (B, T, N_out, nc), the same steps
     end_states: np.ndarray | None = None
@@ -124,22 +123,20 @@ class EstimationProblem:
     and the kept steps t >= first[b]: a multi-step-ahead window keeps its
     last step alone (first = length - 1), single shooting from a fixed x0
     drops ``n_transient`` leading steps, and every other interval keeps
-    all.  The kept steps give the residual count n_res and each
-    interval's divisor, and every formulation evaluates by the same rule:
-    the residuals of the kept steps that did not diverge, and their sum
-    of squares over n_res.  A formulation that keeps no step (n_res = 0)
-    raises ValueError.
+    all.  The kept steps give the residual count n_res, and every
+    formulation evaluates by the same rule: the residuals of the kept
+    steps that did not diverge, and their sum of squares over n_res.  A
+    formulation that keeps no step (n_res = 0) raises ValueError.
 
     Evaluations are cached by the point's bytes in 8 entries, the oldest
     evicted for a new point, so cost, gradient, constraints and their
     Jacobian at one point share one rollout.  A cost-only entry keeps its
-    rollout's phase-1 states, so a gradient, sensitivity or curvature
-    request at that point runs only phase 2, with the bits of a full
-    rollout.
-    A finite-difference curvature point new to the cache gets a rollout
-    without outputs, whose entry serves only curvature requests.  J(phi)'
-    lam, which every Lagrangian Hessian product of an SQP iteration reads
-    at the same (phi, lam), is kept in one slot keyed by their bytes.
+    rollout's phase-1 states, so a gradient or sensitivity request at
+    that point runs only phase 2, with the bits of a full rollout.  The
+    finite-difference curvature term keeps its own points in one slot
+    keyed by the bytes of (phi, lam): J(phi)' lam, which every Lagrangian
+    Hessian product of an SQP iteration reads, and J(phi + h p)' lam by
+    the bytes of each curvature point phi + h p.
     """
 
     def __init__(self, model: StateSpaceModel, dataset: Dataset,
@@ -149,8 +146,8 @@ class EstimationProblem:
         self.formulation = formulation
         self._zy, self._zu = regressor_matrices(model, dataset)
         self._cache: dict[bytes, _FullEval] = {}
-        # ((phi bytes, lam bytes), J(phi)' lam, sqrt(eps) (1 + ||phi||))
-        self._jt_lam: tuple[tuple[bytes, bytes], np.ndarray, float] | None = None
+        # ((phi, lam) bytes, J(phi)' lam, sqrt(eps) (1 + ||phi||), {point: J' lam})
+        self._jt_lam: tuple | None = None
         f, n = formulation, dataset.n
         self._msa = isinstance(f, MsaPem)
         fixed_x0 = isinstance(f, SingleShooting) and not f.optimize_x0
@@ -179,7 +176,6 @@ class EstimationProblem:
             # only a fixed x0 drops steps that a record may not outlast
             raise ValueError(f"keeps no residual: single shooting from a fixed x0 drops "
                              f"the first {model.n_transient} steps of the {n}-sample record")
-        self._divisors = np.maximum(n_kept, 1)
         # where some step is dropped, the sensitivity contractions read
         # each interval's kept steps alone, gathered to the front of a
         # (B, max n_kept) block whose padding is zero
@@ -216,21 +212,17 @@ class EstimationProblem:
 
     # -- shared evaluation -------------------------------------------------
 
-    def _evaluate(self, phi, with_sens: bool = False, curvature: bool = False) -> _FullEval:
+    def _evaluate(self, phi, with_sens: bool = False) -> _FullEval:
         phi = np.asarray(phi, dtype=float)
         key = phi.tobytes()
         hit = self._cache.get(key)
-        need = "end_state_sens" if curvature else "output_sens" if with_sens else "residuals"
-        if hit is not None and getattr(hit, need) is not None:
+        if hit is not None and (not with_sens or hit.output_sens is not None):
             return hit
-        with_sens = with_sens or curvature
-        outputs = not (curvature and hit is None)
         theta, x0s = self.split(phi)
         roll = run_intervals(self.model, theta, x0s if self.n_seeds else self._seeds,
                              self._plan, with_sens=with_sens,
-                             trajectory=None if hit is None else hit.xs, outputs=outputs)
-        ev = (self._assemble(roll) if outputs
-              else _FullEval(np.nan, end_state_sens=roll.end_state_sens))
+                             trajectory=None if hit is None else hit.xs)
+        ev = self._assemble(roll)
         if not with_sens:
             ev.xs = roll.xs
         if hit is None and len(self._cache) >= 8:
@@ -242,15 +234,14 @@ class EstimationProblem:
         res = np.where((roll.valid & self._kept)[:, :, None],
                        roll.predictions - self._targets, 0.0)
         sq = np.sum(res ** 2, axis=(1, 2))                      # (B,)
-        cost = np.inf if roll.any_diverged else float(sq.sum() / max(self._n_res, 1))
+        cost = np.inf if roll.any_diverged else float(sq.sum() / self._n_res)
         jout = roll.output_sens
         if self._drops:
             rows, cols, pad = self._kept_rows
             res = np.where(pad[:, :, None], res[rows, cols], 0.0)
             if jout is not None:
                 jout = np.where(pad[:, :, None, None], jout[rows, cols], 0.0)
-        return _FullEval(cost, interval_costs=sq / self._divisors, residuals=res,
-                         output_sens=jout, end_states=roll.end_states,
+        return _FullEval(cost, residuals=res, output_sens=jout, end_states=roll.end_states,
                          end_state_sens=roll.end_state_sens,
                          diverged=roll.any_diverged)
 
@@ -265,8 +256,8 @@ class EstimationProblem:
 
     def _jt(self, ev: _FullEval, w) -> np.ndarray:
         """(2/n_res) J' w for w shaped like the residuals (B, T, N_out); all
-        NaN when the rollout diverged or kept no residual."""
-        if ev.diverged or self._n_res == 0:
+        NaN when the rollout diverged."""
+        if ev.diverged:
             return np.full(self.n_decision, np.nan)
         nth = self.model.theta_dim
         scale = 2.0 / self._n_res
@@ -311,7 +302,7 @@ class EstimationProblem:
                 peak = np.maximum(peak, np.abs(x))      # NaN sticks
                 if kept[k]:
                     acc += (y[k] - model.output(x, z, th)[:, 0]) ** 2
-        costs = acc / max(self._n_res, 1)
+        costs = acc / self._n_res
         costs[~(peak.max(axis=1, initial=0.0) <= _STATE_LIMIT)] = np.inf
         return costs
 
@@ -319,7 +310,7 @@ class EstimationProblem:
         """Returns (V^M, per-interval costs V_i)."""
         self._require(MultipleShooting)
         ev = self._evaluate(phi)
-        return ev.cost, ev.interval_costs.copy()
+        return ev.cost, np.sum(ev.residuals ** 2, axis=(1, 2)) / self._plan.lengths
 
     def gn_hessian_vec(self, phi, p) -> np.ndarray:
         """(2/n_res) sum_k J[k]^T (J[k] p) over the kept steps k: the
@@ -361,10 +352,11 @@ class EstimationProblem:
         """Gauss-Newton objective curvature plus a finite-difference
         approximation of the constraint curvature along p.
 
-        The constraint term differentiates J_c(phi)^T lam once along p,
-        costing a single extra Jacobian evaluation.  Without constraints
-        (m = 0, lam empty) or with lam = 0 it is the Gauss-Newton product
-        alone.
+        The constraint term differentiates J_c(phi)^T lam once along p, at
+        one end-state sensitivity rollout per curvature point phi + h p new
+        to this (phi, lam); a point met again costs none.  Without
+        constraints (m = 0, lam empty) or with lam = 0 it is the
+        Gauss-Newton product alone.
         """
         p = np.asarray(p, dtype=float)
         out = self.gn_hessian_vec(phi, p)
@@ -378,12 +370,16 @@ class EstimationProblem:
         key = (phi.tobytes(), lam.tobytes())
         if self._jt_lam is None or self._jt_lam[0] != key:
             self._jt_lam = (key, self.constraint_jac_t_vec(phi, lam),
-                            np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(phi)))
-        _, jt0, scale = self._jt_lam
+                            np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(phi)), {})
+        _, jt0, scale, points = self._jt_lam
         h = scale / pn
-        ev = self._evaluate(phi + h * p, curvature=True)
-        jt1 = ShootingJacobian(ev.end_state_sens[: self.n_seeds - 1],
-                               self.model.theta_dim).T @ lam
+        x = phi + h * p
+        jt1 = points.get(x.tobytes())
+        if jt1 is None:
+            theta, x0s = self.split(x)
+            sens = run_intervals(self.model, theta, x0s, self._plan, with_sens=True,
+                                 outputs=False).end_state_sens
+            jt1 = points[x.tobytes()] = ShootingJacobian(sens[:-1], len(theta)).T @ lam
         return out + (jt1 - jt0) / h
 
     def _require(self, kind):

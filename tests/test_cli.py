@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import pathlib
 
 import pytest
@@ -62,6 +64,45 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
     assert main(["validate", "--config", str(tmp_path)]) == 2
     assert f"a directory, not a file: {tmp_path}" in capsys.readouterr().err
+
+
+# an output directory that names a file, lies under one, or holds a
+# directory where run writes a file: (output path, the path reported,
+# the reason), relative to a directory holding the file "taken"
+UNUSABLE_OUTPUTS = {
+    "names-a-file": ("taken", "taken", os.strerror(errno.EEXIST)),
+    "under-a-file": ("taken/out", "taken/out", os.strerror(errno.ENOTDIR)),
+    "holds-a-directory": ("out", "out/manifest.json", "a directory, not a file"),
+}
+
+
+@pytest.mark.parametrize("via", ["--out", "config.out"])
+@pytest.mark.parametrize("case", UNUSABLE_OUTPUTS)
+def test_unusable_output_path_exits_2(case, via, tmp_path, capsys):
+    out, reported, reason = UNUSABLE_OUTPUTS[case]
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "out" / "manifest.json").mkdir(parents=True)
+    cfg, argv = _simulate_cfg(), []
+    if via == "--out":
+        argv = ["--out", str(tmp_path / out)]
+    else:
+        cfg["out"] = str(tmp_path / out)
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 0
+    assert main(["run", "--config", path, *argv]) == 2
+    assert f"{reason}: {tmp_path / reported}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["validate", "run"])
+def test_config_not_utf8_exits_3(action, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"command": "simulate", "seed": 0, "out": "\xff"}')
+    argv = ["--out", str(tmp_path / "out")] if action == "run" else []
+    assert main([action, "--config", str(path), *argv]) == 3
+    err = capsys.readouterr().err
+    assert "invalid config: config: not valid JSON (" in err
+    assert "can't decode byte 0xff" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_json_exits_3(tmp_path, capsys):

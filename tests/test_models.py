@@ -205,6 +205,12 @@ def test_bad_polynomial_rejected():
         lower_to_state_space(Polynomial(terms=(), theta=()))
     with pytest.raises(ModelStructureError):
         lower_to_state_space(Polynomial(terms=((("y", 1),),), theta=(1.0, 2.0)))
+    # a term is a sequence of (kind, lag) pairs: a level missing, a factor
+    # of one or three entries, or a term that is no sequence is refused
+    for terms in ((("y", 1),), ((("y",),),), ((("y", 1, 2),),), (5,),
+                  ((("y", 1),), 7), ("y1",), ((("y", 1), "u0"),)):
+        with pytest.raises(ModelStructureError, match="expected \\(kind, lag\\) pairs"):
+            lower_to_state_space(Polynomial(terms=terms, theta=(0.5,) * len(terms)))
     # a lag that is not an integer is refused at lowering, not at the first
     # call; bool is not a lag, numpy integers are
     for lag in (1.5, 1.0, True, np.float64(1.0), "1"):

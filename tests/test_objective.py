@@ -483,24 +483,32 @@ def test_curvature_term_keeps_the_bits(family, max_len, rng, monkeypatch):
         del calls[:]
         assert np.array_equal(prob.lagrangian_hessian_vec(phi, lam, p), want)
         assert not calls
-    # the curvature point's entry serves nothing but curvature
+    # the curvature point is not cached: a cost and a gradient there keep
+    # a fresh problem's bits
     x = phi + h * p
     assert np.array_equal(prob.cost(x), fresh().cost(x))
     assert np.array_equal(prob.gradient(x), fresh().gradient(x))
 
 
-def test_curvature_at_a_costed_point_keeps_its_entry_whole(monkeypatch):
-    # a cached point gets a full sensitivity rollout for curvature too, so
-    # its entry goes on serving costs and gradients
-    prob, _, phi, _ = _counted_pendulum_problem(PHASE_TWO_FORMS["ms16"])
+def test_curvature_points_stay_out_of_the_cache(rng, monkeypatch):
+    # Hessian products at one (phi, lam) keep their curvature points in
+    # their own slot: the cache holds phi alone, a repeated direction and
+    # one rescaled by a power of two (the same point phi + h p) make no
+    # rollout, a new lam drops the slot's points, and every product keeps
+    # a fresh problem's bits
+    prob, fresh, phi, _ = _counted_pendulum_problem(PHASE_TWO_FORMS["ms16"])
+    lam, lam2 = rng.normal(size=(2, prob.n_constraints))
+    p, q = rng.normal(size=(2, phi.size))
+    products = [(lam, p, 2), (lam, q, 1), (lam, p, 0), (lam, 2.0 * p, 0),
+                (lam, 0.5 * q, 0), (lam, q, 0), (lam2, p, 1), (lam2, p, 0)]
+    wants = [EstimationProblem(fresh.model, fresh.dataset, fresh.formulation)
+             .lagrangian_hessian_vec(phi, mu, d) for mu, d, _ in products]
     calls = _recording_rollouts(monkeypatch)
-    prob.cost(phi)
-    prob._evaluate(phi, curvature=True)
-    assert calls[-1]["outputs"] is True
-    del calls[:]
-    prob.cost(phi)
-    prob.gradient(phi)
-    assert not calls
+    for (mu, d, rollouts), want in zip(products, wants):
+        del calls[:]
+        assert np.array_equal(prob.lagrangian_hessian_vec(phi, mu, d), want)
+        assert len(calls) == rollouts
+    assert list(prob._cache) == [phi.tobytes()]
 
 
 def test_fixed_seeds_are_built_once():

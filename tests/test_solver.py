@@ -87,6 +87,23 @@ def test_multipliers_solve_least_squares(rng):
     np.testing.assert_allclose(jac @ (grad + jac.T @ lam), 0.0, atol=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
+def test_unconstrained_factorization_keeps_the_bits(rng):
+    # an unconstrained solve (m = 0) factors a 0 x n Jacobian at every
+    # stationarity test; a trivial m = 0 factorization must keep these bits:
+    # empty multipliers, a least-norm step of +0.0s, and a null-space
+    # projection equal to r, signed zeros, NaNs, infinities and subnormals
+    # included
+    n = 9
+    fac = JacobianSvd.of(np.zeros((0, n)))
+    lam = fac.multipliers(rng.normal(size=n))
+    assert lam.shape == (0,) and lam.dtype == np.float64
+    assert fac.least_norm(np.zeros(0)).tobytes() == np.zeros(n).tobytes()
+    r = np.array([-0.0, 0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
+                  5e-324, -2.5e-310, 1.5])
+    assert fac.null_project(r).tobytes() == r.tobytes()
+
+
 def test_vertical_step_exact_when_radius_large(rng):
     jac = rng.normal(size=(2, 5))
     c = rng.normal(size=2)
